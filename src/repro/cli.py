@@ -346,6 +346,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.fleet.events import EventLog
     from repro.fleet.supervisor import FleetSupervisor, SupervisorPolicy
+    from repro.fleet.worker import DeploymentSpec
     from repro.server.resilience import ResilientLocalizationServer
 
     scenario = paper_default_scenario(seed=args.seed)
@@ -383,7 +384,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     def factory() -> ResilientLocalizationServer:
         return ResilientLocalizationServer(
-            registry, pipeline, engine="streaming"
+            registry, pipeline, engine=DeploymentSpec.engine
         )
 
     ids = [f"deployment-{i:02d}" for i in range(args.deployments)]
@@ -496,7 +497,6 @@ def _serve_sharded(args: argparse.Namespace, scenario, batch, truth) -> int:
                 deployment_id=deployment_id,
                 registry_records=records,
                 pipeline=pipeline,
-                engine="streaming",
                 actor_config=ActorConfig(
                     checkpoint_every=args.checkpoint_every
                 ),
@@ -600,7 +600,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                 deployment_id=deployment_id,
                 registry_records=records,
                 pipeline=scenario.config.pipeline,
-                engine="streaming",
             ))
         cols = ColumnarReportBatch.from_reports(batch.reports)
         chunks = [

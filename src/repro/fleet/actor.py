@@ -20,8 +20,9 @@ Two protections bound each actor's blast radius:
   actor snapshots its serving state through a
   :class:`~repro.fleet.checkpoint.CheckpointStore`; after a crash the
   next incarnation warm-starts from the snapshot and a priming fix
-  rebuilds the streaming accumulator, so post-restart fixes ride the
-  append path instead of recomputing history.
+  refills the engine's caches (on the streaming engine, its
+  accumulator, so post-restart fixes ride the append path instead of
+  recomputing history).
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class ActorConfig:
     fix_deadline_s: Optional[float] = None
     #: Auto-checkpoint every N ingest batches; 0 disables.
     checkpoint_every: int = 0
-    #: Run a priming fix after a checkpoint restore so the streaming
-    #: accumulator is rebuilt once, up front, instead of on the first
+    #: Run a priming fix after a checkpoint restore so the engine's
+    #: caches are refilled once, up front, instead of on the first
     #: serving fix.
     prime_on_restore: bool = True
 
@@ -445,7 +446,7 @@ class DeploymentActor:
         )
 
     def _prime(self) -> None:
-        """Rebuild streaming state from restored buffers, once, up front."""
+        """Refill engine caches from restored buffers, once, up front."""
         for reader_name, antenna_port in self.server.streams():
             try:
                 self.server.locate_antenna_2d(reader_name, antenna_port)

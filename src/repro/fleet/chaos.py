@@ -59,6 +59,8 @@ class ChaosConfig:
     """Tuning of one chaos run."""
 
     seed: int = 7
+    #: Not the serving default: the actor-kill scenario asserts the
+    #: streaming engine's post-restore append path.
     engine: EngineSpec = "streaming"
     #: SLO: fixes must succeed within this many offer+fix cycles after a
     #: fault clears.

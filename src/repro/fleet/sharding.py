@@ -9,10 +9,10 @@ duplex pipe each), routes every deployment to
 restart-with-backoff, circuit breakers and checkpoint/restore keep
 working per shard.
 
-**Owner affinity.**  The streaming spectrum engine warm-starts only on
-*exact-prefix* appends, so every report for a deployment must land on
-the one worker that owns its accumulator state.  The hash route
-guarantees that; it is also why work stealing is deliberately absent.
+**Owner affinity.**  A deployment's stream buffers, validators and
+engine caches live in one worker, so every report for it must land on
+the worker that owns that state.  The hash route guarantees that; it is
+also why work stealing is deliberately absent.
 
 **Zero-copy columnar transport.**  ``offer_columnar`` packs the batch's
 arrays into a per-worker ``multiprocessing.shared_memory`` ring

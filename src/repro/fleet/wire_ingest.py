@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 from repro.core.pipeline import PipelineConfig
 from repro.errors import ConfigurationError, WireProtocolError
 from repro.fleet.supervisor import FleetSupervisor
+from repro.fleet.worker import DeploymentSpec
 from repro.hardware.llrp_stream import StreamingLLRPParser, StreamStats
 from repro.obs.metrics import get_registry, telemetry_enabled
 from repro.server.resilience import ResilientLocalizationServer
@@ -264,7 +265,7 @@ async def replay_into_supervisor(
     reader_name: str = "reader-1",
     antenna_port: int = 1,
     pipeline: Optional[PipelineConfig] = None,
-    engine: Optional[str] = None,
+    engine: Optional[str] = DeploymentSpec.engine,
     fragment_bytes: Optional[int] = None,
     deployment_id: str = "replay",
     deployments: int = 1,
@@ -274,7 +275,9 @@ async def replay_into_supervisor(
     Builds a :class:`FleetSupervisor` from the recording's registry
     snapshot, streams every captured frame over a real socket at
     ``speed``x, waits for ingest to drain, and asks each deployment for
-    a 2D fix on ``(reader_name, antenna_port)``.
+    a 2D fix on ``(reader_name, antenna_port)``.  Deployments serve on
+    ``engine``, by default the fleet's serving engine
+    (:class:`~repro.fleet.worker.DeploymentSpec`).
 
     ``deployments=M`` clones the one recording across M synthetic
     deployments (each with its own endpoint, loopback connection and

@@ -44,6 +44,7 @@ working.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,6 +110,19 @@ MIN_COARSE_POLAR_POINTS = 9
 DEFAULT_ADAPTIVE_SPECTRUM_BUDGET = 4_000_000
 
 
+@lru_cache(maxsize=16)
+def _refine_offsets(refine_factor: int) -> np.ndarray:
+    """Ladder offsets in units of the current span, shared read-only.
+
+    Every engine with the same ``refine_factor`` reuses one array, so
+    building an engine (once per deployment incarnation) costs no
+    ``linspace``.
+    """
+    offsets = np.linspace(-1.0, 1.0, 2 * refine_factor + 1)
+    offsets.flags.writeable = False
+    return offsets
+
+
 class AdaptiveEngine(SpectrumEngine):
     """Multi-resolution coarse-to-fine spectrum engine.
 
@@ -167,7 +181,7 @@ class AdaptiveEngine(SpectrumEngine):
         self.min_sharpness = float(min_sharpness)
         self._dense = dense if dense is not None else BatchedEngine()
         self._spectra = LRUCache(spectrum_budget)
-        self._offsets = np.linspace(-1.0, 1.0, 2 * self.refine_factor + 1)
+        self._offsets = _refine_offsets(self.refine_factor)
         self.dense_fallbacks = 0
         self.refinements = 0
 

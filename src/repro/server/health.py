@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.pipeline import PipelineConfig, TagspinSystem
 from repro.errors import InsufficientDataError
 from repro.hardware.llrp import ReportBatch
+from repro.perf.engine import EngineSpec
 from repro.server.registry import TagRegistry
 
 #: Issue codes raised by the monitor.
@@ -58,6 +59,11 @@ class DeploymentMonitor:
     min_peak_power : spectrum peak power below which the registry model is
         suspected stale (peaks near 1.0 when the model matches; a wrong
         angular speed or phase reference collapses it)
+
+    ``engine`` scores the spectrum peaks (default: the reference
+    engine).  A server passes its own engine instance, so the monitor
+    reuses the caches its fixes already filled instead of recomputing
+    every stream's spectrum on a dense engine of its own.
     """
 
     def __init__(
@@ -68,10 +74,13 @@ class DeploymentMonitor:
         min_coverage: float = 0.6,
         min_peak_power: float = 0.35,
         coverage_bins: int = 16,
+        engine: EngineSpec = None,
     ) -> None:
         self.registry = registry
         self.system = TagspinSystem(
-            registry, config if config is not None else PipelineConfig()
+            registry,
+            config if config is not None else PipelineConfig(),
+            engine=engine,
         )
         self.min_read_rate_hz = min_read_rate_hz
         self.min_coverage = min_coverage

@@ -105,24 +105,26 @@ class ResilientLocalizationServer(LocalizationServer):
     data_source : optional callback delivering more reports between
         retries (e.g. re-polling a live reader).  Without it, retries
         rely on reports ingested concurrently by other threads.
+    monitor : deployment monitor run on the supervision cadence; the
+        default one shares this server's engine instance and caches.
     monitor_every : run the deployment monitor every N locate calls per
         stream (1 = every call).
     sleep : injection point for the backoff wait (tests pass a stub).
     degraded_quarantine_ratio : fraction of rejected ingested reports
         above which a stream is considered degraded even if a fix works.
     engine : spectrum-evaluation strategy passed through to the pipeline
-        (see :mod:`repro.perf`); the gated pipeline's repeated passes
-        (scoring, triangulation, R-to-Q fallback) make the ``"batched"``
-        engine's caches especially effective here.  ``"adaptive"``
-        additionally shrinks each pass to a coarse-to-fine search,
-        ``"harmonic"`` replaces dense steering evaluation with batched
-        inverse FFTs over cached per-geometry harmonic tables
-        (``"adaptive-harmonic"`` composes the two), and
-        ``"streaming"`` makes poll-after-append cheap; all stay safe
-        under this server's quarantining because any validator decision
-        that reorders, drops or re-references early reports changes the
-        series prefix, which the streaming accumulator detects and
-        answers with a cold rebuild rather than stale state.
+        (see :mod:`repro.perf`; default: the reference engine).  Serve
+        on ``"adaptive-harmonic"``, the fleet's default
+        (:class:`~repro.fleet.worker.DeploymentSpec`): the gated
+        pipeline's repeated passes (scoring, triangulation, R-to-Q
+        fallback) and the monitor only need spectrum peaks, which its
+        coarse-to-fine search finds over per-geometry harmonic tables
+        cached across fixes.  ``"batched"`` and ``"harmonic"`` keep
+        dense power surfaces; ``"streaming"`` appends residual columns
+        on poll-after-append and stays safe under this server's
+        quarantining, because any validator decision that reorders,
+        drops or re-references early reports changes the series
+        prefix, which the accumulator answers with a cold rebuild.
     """
 
     def __init__(
@@ -153,7 +155,9 @@ class ResilientLocalizationServer(LocalizationServer):
         self.monitor = (
             monitor
             if monitor is not None
-            else DeploymentMonitor(registry, self.system.config)
+            else DeploymentMonitor(
+                registry, self.system.config, engine=self.system.engine
+            )
         )
         self.monitor_every = monitor_every
         self.degraded_quarantine_ratio = degraded_quarantine_ratio

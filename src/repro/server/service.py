@@ -8,16 +8,20 @@ LLRP reports incrementally (from any number of readers/antennas), tracks
 per-antenna report buffers and serves 2D/3D position queries through the
 Tagspin pipeline.
 
-With ``engine="streaming"`` the repeated poll-after-append pattern gets
-cheaper: the engine's :class:`~repro.perf.streaming
-.StreamingSpectrumAccumulator` recognizes that the new batch extends the
-previous one and appends only the new snapshots' residual columns.
-Explicitly clearing a stream also clears that per-stream state (any
-other buffer change is detected by the accumulator's own prefix check).
-``engine="harmonic"`` (or ``"adaptive-harmonic"``) instead accelerates
-the dense evaluation itself: steering phasors are realized by batched
-inverse FFTs and cached per geometry, so re-locating against an updated
-buffer (same disks, new phases) pays no steering work at all.
+The repeated poll-after-append pattern is served on
+``engine="adaptive-harmonic"``, the fleet's default
+(:class:`~repro.fleet.worker.DeploymentSpec`): a fix only needs the
+spectrum peak, which the coarse-to-fine search finds over harmonic
+steering tables that are realized by batched inverse FFTs and cached per
+geometry, so re-locating against an updated buffer (same disks, new
+phases) pays no steering work at all.  ``engine="streaming"`` instead
+keeps per-series residual state: its
+:class:`~repro.perf.streaming.StreamingSpectrumAccumulator` recognizes
+that the new batch extends the previous one and appends only the new
+snapshots' residual columns, but still evaluates the dense grid on every
+fix.  Explicitly clearing a stream also clears that per-stream state
+(any other buffer change is detected by the accumulator's own prefix
+check).
 """
 
 from __future__ import annotations

@@ -42,19 +42,22 @@ def collected(calibrated_scenario_2d):
     return batch
 
 
-@pytest.fixture(scope="module")
-def reference_fix(calibrated_scenario_2d, collected):
+def in_process_fix(scenario, batch, engine):
+    """The fix an in-process server on ``engine`` computes from ``batch``."""
     registry = TagRegistry()
-    for record in calibrated_scenario_2d.scene.registry:
+    for record in scenario.scene.registry:
         registry.register(record)
     server = ResilientLocalizationServer(
-        registry,
-        calibrated_scenario_2d.config.pipeline,
-        engine="streaming",
+        registry, scenario.config.pipeline, engine=engine
     )
-    server.ingest("reader-1", collected.reports)
+    server.ingest("reader-1", batch.reports)
     fix, _diag = server.locate_antenna_2d_diagnosed("reader-1")
     return fix
+
+
+@pytest.fixture(scope="module")
+def reference_fix(calibrated_scenario_2d, collected):
+    return in_process_fix(calibrated_scenario_2d, collected, "streaming")
 
 
 def make_spec(calibrated_scenario_2d, deployment_id: str) -> DeploymentSpec:
@@ -334,6 +337,34 @@ class TestShardedFleetServing:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
         assert fleet.close()["already_closed"]
+
+    def test_default_engine_matches_in_process_server(
+        self, calibrated_scenario_2d, collected
+    ):
+        """A spec that names no engine serves on ``DeploymentSpec.engine``
+        in the worker: same fix as an in-process server on that engine."""
+        expected = in_process_fix(
+            calibrated_scenario_2d, collected, DeploymentSpec.engine
+        )
+        fleet = ShardedFleet(workers=1, request_timeout_s=120.0)
+        fleet.start()
+        try:
+            fleet.add_deployment(DeploymentSpec(
+                deployment_id="dep-default",
+                registry_records=tuple(calibrated_scenario_2d.scene.registry),
+                pipeline=calibrated_scenario_2d.config.pipeline,
+            ))
+            fleet.offer_columnar(
+                "dep-default",
+                "reader-1",
+                ColumnarReportBatch.from_reports(collected.reports),
+            )
+            fleet.drain(timeout_s=120.0)
+            fix, _diag = fleet.locate_2d_sync("dep-default", "reader-1")
+        finally:
+            fleet.close()
+        assert fix.position.x == pytest.approx(expected.position.x, abs=1e-9)
+        assert fix.position.y == pytest.approx(expected.position.y, abs=1e-9)
 
     def test_worker_kill_restart_warm_restores_exactly(
         self, calibrated_scenario_2d, collected, reference_fix

@@ -13,6 +13,7 @@ from repro.fleet.wire_ingest import (
     replay_frames,
     replay_into_supervisor,
 )
+from repro.fleet.worker import DeploymentSpec
 from repro.sim.wire_recording import WireRecording
 
 TRUTH = Point3(0.4, 1.9, 0.0)
@@ -31,12 +32,14 @@ def recording(calibrated_scenario_2d) -> WireRecording:
 
 @pytest.fixture(scope="module")
 def reference_fix(calibrated_scenario_2d, recording):
-    """The fix the plain in-process server computes from the capture."""
+    """The fix the plain in-process server computes from the capture,
+    on the engine replayed deployments serve on."""
     from repro.server.resilience import ResilientLocalizationServer
 
     server = ResilientLocalizationServer(
         recording.build_registry(),
         calibrated_scenario_2d.config.pipeline,
+        engine=DeploymentSpec.engine,
     )
     from repro.hardware.llrp_stream import StreamingLLRPParser
 

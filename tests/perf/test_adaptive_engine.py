@@ -231,6 +231,18 @@ class TestEnginePlumbing:
         with pytest.raises(ValueError):
             AdaptiveEngine(basin_prune=0.0)
 
+    def test_refinement_offsets_shared_read_only(self):
+        """Engines share one read-only offsets array per refine_factor,
+        equal bit for bit to the linspace it replaces."""
+        first, second = AdaptiveEngine(), AdaptiveEngine()
+        assert first._offsets is second._offsets
+        assert not first._offsets.flags.writeable
+        for refine_factor in (2, 4, 7):
+            offsets = AdaptiveEngine(refine_factor=refine_factor)._offsets
+            assert np.array_equal(
+                offsets, np.linspace(-1.0, 1.0, 2 * refine_factor + 1)
+            )
+
     def test_repeated_call_serves_cached_spectrum(self):
         grid = default_azimuth_grid(np.deg2rad(0.5))
         series = make_series(azimuth=0.7, noise_std=0.05, seed=8)

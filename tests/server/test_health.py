@@ -3,20 +3,27 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Dict
 
-import numpy as np
 import pytest
 
 from repro.core.geometry import Point3
+from repro.fleet.worker import DeploymentSpec
 from repro.server.health import (
     ISSUE_LOW_READ_RATE,
     ISSUE_NOT_SEEN,
     ISSUE_POOR_COVERAGE,
     ISSUE_WEAK_PEAK,
     DeploymentMonitor,
+    HealthReport,
     format_health_table,
 )
 from repro.server.registry import SpinningTagRecord, TagRegistry
+
+#: On another engine, peak powers must agree with the reference engine's
+#: this closely (the adaptive engines refine the peak to an angular
+#: tolerance instead of reading it off the dense grid).
+PEAK_POWER_TOLERANCE = 1e-3
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +32,53 @@ def healthy_batch(calibrated_scenario_2d):
     return batch
 
 
-class TestHealthyDeployment:
+def assert_same_verdict(got: HealthReport, want: HealthReport) -> None:
+    assert got.epc == want.epc
+    assert got.issues == want.issues
+    if want.peak_power is None:
+        assert got.peak_power is None
+    else:
+        assert got.peak_power == pytest.approx(
+            want.peak_power, abs=PEAK_POWER_TOLERANCE
+        )
+
+
+class MonitorCases:
+    """Runs each case's monitor on ``engine``.
+
+    Off the reference engine every check is also run on a reference
+    monitor, and verdicts and peak powers must match it.
+    """
+
+    #: The monitor's engine (``None``: the reference engine).
+    engine = None
+
+    def monitor(self, registry) -> DeploymentMonitor:
+        return DeploymentMonitor(registry, engine=self.engine)
+
+    def check_tag(self, registry, batch, epc) -> HealthReport:
+        report = self.monitor(registry).check_tag(batch, epc)
+        if self.engine is not None:
+            assert_same_verdict(
+                report, DeploymentMonitor(registry).check_tag(batch, epc)
+            )
+        return report
+
+    def check_all(self, registry, batch) -> Dict[str, HealthReport]:
+        reports = self.monitor(registry).check_all(batch)
+        if self.engine is not None:
+            reference = DeploymentMonitor(registry).check_all(batch)
+            assert reports.keys() == reference.keys()
+            for epc, report in reports.items():
+                assert_same_verdict(report, reference[epc])
+        return reports
+
+
+class TestHealthyDeployment(MonitorCases):
     def test_all_healthy(self, calibrated_scenario_2d, healthy_batch):
-        monitor = DeploymentMonitor(calibrated_scenario_2d.scene.registry)
-        reports = monitor.check_all(healthy_batch)
+        reports = self.check_all(
+            calibrated_scenario_2d.scene.registry, healthy_batch
+        )
         assert len(reports) == 2
         for report in reports.values():
             assert report.healthy, report.issues
@@ -38,17 +88,16 @@ class TestHealthyDeployment:
             assert report.peak_power > 0.4
 
     def test_unhealthy_list_empty(self, calibrated_scenario_2d, healthy_batch):
-        monitor = DeploymentMonitor(calibrated_scenario_2d.scene.registry)
+        monitor = self.monitor(calibrated_scenario_2d.scene.registry)
         assert monitor.unhealthy(healthy_batch) == []
 
 
-class TestFailureDetection:
+class TestFailureDetection(MonitorCases):
     def test_unseen_tag_flagged(self, calibrated_scenario_2d, healthy_batch):
         registry = calibrated_scenario_2d.scene.registry
         epc = registry.epcs()[0]
         stripped = healthy_batch.filter_epc(registry.epcs()[1])
-        monitor = DeploymentMonitor(registry)
-        report = monitor.check_tag(stripped, epc)
+        report = self.check_tag(registry, stripped, epc)
         assert ISSUE_NOT_SEEN in report.issues
 
     def test_stale_registry_speed_weakens_peak(
@@ -70,8 +119,7 @@ class TestFailureDetection:
                     orientation_profile=record.orientation_profile,
                 )
             )
-        monitor = DeploymentMonitor(stale)
-        for report in monitor.check_all(healthy_batch).values():
+        for report in self.check_all(stale, healthy_batch).values():
             assert ISSUE_WEAK_PEAK in report.issues
 
     def test_sparse_reads_flag_rate(self, calibrated_scenario_2d, healthy_batch):
@@ -81,8 +129,7 @@ class TestFailureDetection:
 
         tag_reports = [r for r in healthy_batch.reports if r.epc == epc]
         sparse = ReportBatch(tag_reports[::12])
-        monitor = DeploymentMonitor(registry)
-        report = monitor.check_tag(sparse, epc)
+        report = self.check_tag(registry, sparse, epc)
         assert ISSUE_LOW_READ_RATE in report.issues
 
     def test_stalled_disk_flags_coverage(
@@ -101,9 +148,20 @@ class TestFailureDetection:
             for r in healthy_batch.reports
             if r.epc == epc and (r.reader_time_s % period) < 0.15 * period
         ]
-        monitor = DeploymentMonitor(registry)
-        report = monitor.check_tag(ReportBatch(slice_reports), epc)
+        report = self.check_tag(registry, ReportBatch(slice_reports), epc)
         assert ISSUE_POOR_COVERAGE in report.issues
+
+
+class TestHealthyDeploymentOnServingEngine(TestHealthyDeployment):
+    """The healthy cases on the engine servers share with their monitor."""
+
+    engine = DeploymentSpec.engine
+
+
+class TestFailureDetectionOnServingEngine(TestFailureDetection):
+    """The failure cases on the engine servers share with their monitor."""
+
+    engine = DeploymentSpec.engine
 
 
 def test_format_health_table(calibrated_scenario_2d, healthy_batch):

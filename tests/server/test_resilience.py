@@ -251,6 +251,13 @@ class TestSupervision:
         assert diagnostics.health_issues == {}
         assert server.degradation_state("r") is DegradationState.HEALTHY
 
+    def test_monitor_shares_the_server_engine(self, three_disk_scene):
+        """The monitor scores spectra on the server's own engine instance,
+        so it reuses the caches the server's fixes fill."""
+        scenario, _batch, _reader = three_disk_scene
+        server = make_server(scenario, engine="adaptive-harmonic")
+        assert server.monitor.system.engine is server.system.engine
+
     def test_unqueried_stream_defaults_healthy(self, three_disk_scene):
         scenario, _batch, _reader = three_disk_scene
         server = make_server(scenario)
