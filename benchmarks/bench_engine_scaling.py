@@ -1,5 +1,5 @@
-"""Engine-scaling benchmark: reference vs batched vs parallel vs
-adaptive vs harmonic.
+"""Engine-scaling benchmark: reference vs batched vs adaptive vs
+harmonic.
 
 Unlike the paper-figure benchmarks (which run under pytest), this is a
 standalone script so CI's perf-smoke job and developers can run it
@@ -18,9 +18,7 @@ directly:
   the configured tolerance (default 1e-3 rad),
 * the harmonic engine is at least ``--min-harmonic-speedup`` (default
   3x) faster than the batched engine with its errors within the dense
-  budgets (the full-sweep medium scenario records >= 5x), and
-* the streaming accumulator's append-only warm fix is strictly cheaper
-  than a cold fix in the included microbenchmark.
+  budgets (the full-sweep medium scenario records >= 5x).
 
 ``--json`` writes the machine-readable timings; every run also writes
 ``benchmarks/results/BENCH_<mode>.json`` — plus
@@ -42,11 +40,9 @@ from pathlib import Path
 from repro.perf.bench import (
     SCALES,
     format_results,
-    format_streaming,
     format_telemetry_overhead,
     results_to_json,
     run_engine_scaling,
-    run_streaming_microbench,
     run_telemetry_overhead,
 )
 
@@ -74,7 +70,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="trimmed medium-scenario run with the CI perf gates "
         "(batched > reference, adaptive >= 2x batched within tolerance, "
-        "streaming warm < cold)",
+        "harmonic >= 3x batched within the dense budgets)",
     )
     parser.add_argument(
         "--scales",
@@ -86,9 +82,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engines",
         nargs="+",
-        default=["reference", "batched", "parallel", "adaptive", "harmonic"],
-        help="engines to time (default: reference batched parallel "
-        "adaptive harmonic)",
+        default=["reference", "batched", "adaptive", "harmonic"],
+        help="engines to time (default: reference batched adaptive "
+        "harmonic)",
     )
     parser.add_argument("--rounds", type=int, default=None,
                         help="fixes per scenario (default 3; --quick 2)")
@@ -110,11 +106,6 @@ def main(argv=None) -> int:
         type=float,
         default=MIN_HARMONIC_SPEEDUP,
         help="harmonic-vs-batched speedup the --quick gate requires",
-    )
-    parser.add_argument(
-        "--no-streaming",
-        action="store_true",
-        help="skip the streaming cold-vs-append microbenchmark",
     )
     parser.add_argument(
         "--telemetry-overhead",
@@ -166,12 +157,6 @@ def main(argv=None) -> int:
     table = format_results(results)
     print(table)
 
-    streaming = None
-    if not args.no_streaming:
-        streaming = run_streaming_microbench(seed=args.seed)
-        print()
-        print(format_streaming(streaming))
-
     telemetry = None
     if args.telemetry_overhead:
         telemetry = run_telemetry_overhead(
@@ -189,7 +174,6 @@ def main(argv=None) -> int:
     metrics_snapshot = get_registry().snapshot()
     payload = results_to_json(
         results,
-        streaming=streaming,
         telemetry=telemetry,
         metrics=metrics_snapshot,
     )
@@ -291,18 +275,6 @@ def main(argv=None) -> int:
                     f"{telemetry.overhead_fraction * 100:+.2f}% on the "
                     f"{telemetry.scenario} scenario "
                     f"(<= {args.max_telemetry_overhead * 100:.0f}%)"
-                )
-        if streaming is not None:
-            if streaming.warm_s >= streaming.cold_s:
-                failures.append(
-                    f"streaming warm fix ({streaming.warm_s * 1e3:.3f} ms) "
-                    f"is not cheaper than a cold fix "
-                    f"({streaming.cold_s * 1e3:.3f} ms)"
-                )
-            else:
-                print(
-                    f"OK: streaming append-only fix is "
-                    f"{streaming.speedup:.2f}x cheaper than a cold fix"
                 )
         if failures:
             for failure in failures:

@@ -7,12 +7,13 @@ developers can run it directly:
     PYTHONPATH=src python benchmarks/bench_fleet_resilience.py --quick  # CI gate
 
 Three measured phases against a supervised multi-deployment fleet
-(streaming engine, bounded mailboxes, checkpointing on):
+(the serving engine ``DeploymentSpec.engine``, bounded mailboxes,
+checkpointing on):
 
 * **ingest** — offered reports per second through the mailbox + actor
   path until every deployment's buffer holds the collection;
-* **fixes** — p50/p99 latency of offer-then-fix serving cycles (the
-  streaming append path, the steady-state workload);
+* **fixes** — p50/p99 latency of offer-then-fix serving cycles (poll
+  after append, the steady-state workload);
 * **recovery** — wall-clock time from an injected actor crash to the
   next successful fix served by the warm-restarted incarnation.
 
@@ -100,7 +101,7 @@ async def _bench_fleet(scenario, batch, deployments, rounds, chunk_size):
 
     def factory():
         return ResilientLocalizationServer(
-            registry, pipeline, engine="streaming"
+            registry, pipeline, engine=DeploymentSpec.engine
         )
 
     ids = [f"deployment-{i:02d}" for i in range(deployments)]
@@ -231,7 +232,7 @@ async def _baseline_columnar(scenario, batches, ids):
 
     def factory():
         return ResilientLocalizationServer(
-            registry, pipeline, engine="streaming"
+            registry, pipeline, engine=DeploymentSpec.engine
         )
 
     for deployment_id in ids:
@@ -277,7 +278,6 @@ def _bench_sharded(scenario, batches, ids, workers):
             deployment_id=deployment_id,
             registry_records=records,
             pipeline=pipeline,
-            engine="streaming",
             actor_config=ActorConfig(high_water_mark=1_000_000),
         )
         for deployment_id in ids
@@ -486,7 +486,8 @@ def _run_sharded(args) -> tuple:
 def _format_metrics(metrics: dict) -> str:
     lines = [
         "fleet resilience "
-        f"({metrics['deployments']} deployments, streaming engine)",
+        f"({metrics['deployments']} deployments, "
+        f"{DeploymentSpec.engine} engine)",
         f"  ingest     : {metrics['ingest_reports_per_s']:,.0f} reports/s "
         f"({metrics['ingested_reports']} reports)",
         f"  fix latency: p50 {metrics['fix_p50_ms']:.1f} ms, "

@@ -19,11 +19,10 @@ Commands
     Simulate a collection with an optional injected fault, run it through
     the resilient server and print the fix with its full diagnostics.
 ``bench-engine``
-    Time the spectrum engines (reference vs batched vs parallel vs
-    adaptive vs harmonic) over a synthetic multi-disk deployment and
-    print the scaling table; ``--streaming`` adds the cold-vs-append
-    streaming microbenchmark and ``--tolerance`` sets the adaptive
-    engines' angular tolerance.  ``--json`` writes the full
+    Time the spectrum engines (reference vs batched vs adaptive vs
+    harmonic) over a synthetic multi-disk deployment and print the
+    scaling table; ``--tolerance`` sets the adaptive engines' angular
+    tolerance.  ``--json`` writes the full
     ``tagspin-bench/1`` document, including every engine's cache
     hit/miss/eviction counters and the harmonic engine's
     truncation-order statistics.
@@ -245,10 +244,8 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
 
     from repro.perf.bench import (
         format_results,
-        format_streaming,
         results_to_json,
         run_engine_scaling,
-        run_streaming_microbench,
     )
 
     overrides = {}
@@ -263,15 +260,10 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
         **overrides,
     )
     print(format_results(results))
-    streaming = None
-    if args.streaming:
-        streaming = run_streaming_microbench(seed=args.seed)
-        print()
-        print(format_streaming(streaming))
     if args.json is not None:
         path = Path(args.json)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(results_to_json(results, streaming=streaming))
+        path.write_text(results_to_json(results))
         print(f"wrote {path}")
     return 0
 
@@ -823,10 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument(
         "--engines",
         nargs="+",
-        default=["reference", "batched", "parallel", "adaptive", "harmonic"],
-        help="engines to time (reference, batched, parallel, "
-        "parallel-thread, parallel-process, adaptive, "
-        "adaptive-harmonic, streaming, harmonic, harmonic+native)",
+        default=["reference", "batched", "adaptive", "harmonic"],
+        help="engines to time (reference, batched, adaptive, "
+        "harmonic, adaptive-harmonic)",
     )
     pb.add_argument("--rounds", type=int, default=3,
                     help="localization fixes per scenario")
@@ -835,9 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--tolerance", type=float, default=None,
                     help="adaptive engine angular tolerance [rad] "
                     "(default 1e-3)")
-    pb.add_argument("--streaming", action="store_true",
-                    help="also run the cold-vs-append streaming "
-                    "microbenchmark")
     pb.add_argument("--json", default=None,
                     help="write machine-readable timings to this path")
     _add_common(pb)

@@ -107,10 +107,12 @@ class TagspinSystem:
     ``engine`` selects the spectrum-evaluation strategy (see
     :mod:`repro.perf`): ``None``/``"reference"`` keeps the seed per-call
     path, ``"batched"`` adds steering/spectrum caching with vectorized
-    whole-grid evaluation, ``"parallel"`` fans series across a worker
-    pool; an engine instance is used as-is.  All engines are equivalent
-    within 1e-9 (the batched engine bit-for-bit), so the choice only
-    affects speed.
+    whole-grid evaluation, ``"harmonic"`` evaluates by cached inverse
+    FFTs and ``"adaptive"`` / ``"adaptive-harmonic"`` search
+    coarse-to-fine for the peak; an engine instance is used as-is.
+    Dense engines are equivalent within 1e-9 (the batched engine
+    bit-for-bit) and the adaptive ones within their angular tolerance,
+    so the choice only affects speed.
     """
 
     def __init__(

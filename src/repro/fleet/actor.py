@@ -19,10 +19,8 @@ Two protections bound each actor's blast radius:
 * **Checkpointing** — every ``checkpoint_every`` ingest batches the
   actor snapshots its serving state through a
   :class:`~repro.fleet.checkpoint.CheckpointStore`; after a crash the
-  next incarnation warm-starts from the snapshot and a priming fix
-  refills the engine's caches (on the streaming engine, its
-  accumulator, so post-restart fixes ride the append path instead of
-  recomputing history).
+  next incarnation warm-starts from the snapshot, so it serves fixes
+  over the restored buffers without waiting for the stream to refill.
 """
 
 from __future__ import annotations
@@ -74,10 +72,6 @@ class ActorConfig:
     fix_deadline_s: Optional[float] = None
     #: Auto-checkpoint every N ingest batches; 0 disables.
     checkpoint_every: int = 0
-    #: Run a priming fix after a checkpoint restore so the engine's
-    #: caches are refilled once, up front, instead of on the first
-    #: serving fix.
-    prime_on_restore: bool = True
 
 
 @dataclass
@@ -267,8 +261,6 @@ class DeploymentActor:
         """Process messages until a stop command; raises on crash."""
         self._running = True
         self._restore()
-        if self.stats.warm_restored and self.config.prime_on_restore:
-            self._prime()
         try:
             while True:
                 message = await self.mailbox.get()
@@ -444,16 +436,6 @@ class DeploymentActor:
             seq=snapshot.seq,
             reports=snapshot.report_count(),
         )
-
-    def _prime(self) -> None:
-        """Refill engine caches from restored buffers, once, up front."""
-        for reader_name, antenna_port in self.server.streams():
-            try:
-                self.server.locate_antenna_2d(reader_name, antenna_port)
-            except TagspinError:
-                # Insufficient or degraded restored data: priming is
-                # best-effort; a later serving fix will report properly.
-                continue
 
     # ------------------------------------------------------------------
     # Introspection

@@ -5,9 +5,8 @@ faults from :mod:`repro.sim.faults` and each asserting a recovery SLO
 rather than just "it didn't crash":
 
 * **actor-kill** — crash the actor mid-serving; fixes must resume within
-  ``recovery_fix_budget`` offer+fix cycles, the restarted actor must
-  warm-start from its checkpoint, and (with a streaming engine) the
-  post-restart fixes must ride the accumulator's append path.
+  ``recovery_fix_budget`` offer+fix cycles and the restarted actor must
+  warm-start from its checkpoint.
 * **ingest-flood** — overload the mailbox with bystander-heavy traffic;
   shedding must target bystander reports first and the report ledger
   must reconcile exactly (``offered == shed + pending + delivered +
@@ -22,7 +21,8 @@ rather than just "it didn't crash":
 
 ``run_chaos_suite`` is synchronous (it owns its event loop via
 :func:`asyncio.run`) so pytest, the benchmark and the CLI can all call
-it directly.
+it directly.  Every scenario serves on the fleet's serving engine,
+:attr:`~repro.fleet.worker.DeploymentSpec.engine`.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from repro.fleet.events import (
     EventLog,
 )
 from repro.fleet.supervisor import FleetSupervisor, SupervisorPolicy
+from repro.fleet.worker import DeploymentSpec
 from repro.hardware.llrp import ReportBatch, TagReportData
-from repro.perf.engine import EngineSpec
 from repro.server.resilience import ResilientLocalizationServer, RetryPolicy
 from repro.sim import faults
 from repro.sim.scenario import TagspinScenario, paper_default_scenario
@@ -59,9 +59,6 @@ class ChaosConfig:
     """Tuning of one chaos run."""
 
     seed: int = 7
-    #: Not the serving default: the actor-kill scenario asserts the
-    #: streaming engine's post-restore append path.
-    engine: EngineSpec = "streaming"
     #: SLO: fixes must succeed within this many offer+fix cycles after a
     #: fault clears.
     recovery_fix_budget: int = 3
@@ -156,11 +153,10 @@ class _Harness:
         )
         pipeline = scenario.config.pipeline
         registry = scenario.scene.registry
-        engine = config.engine
 
         def server_factory() -> ResilientLocalizationServer:
             return ResilientLocalizationServer(
-                registry, pipeline, engine=engine
+                registry, pipeline, engine=DeploymentSpec.engine
             )
 
         self.deployment_id = "chaos-deployment"
@@ -230,14 +226,6 @@ async def _wait_for(
         await asyncio.sleep(0.005)
 
 
-def _streaming_stats(harness: _Harness) -> Optional[dict]:
-    actor = harness.supervisor.actor(harness.deployment_id)
-    if actor is None:
-        return None
-    stats = actor.server.system.engine.cache_stats()
-    return stats.get("streaming")
-
-
 async def _recover_fixes(
     harness: _Harness,
     pending_chunks: List[List[TagReportData]],
@@ -279,9 +267,8 @@ async def _run_actor_kill(
         for chunk in chunks[:half]:
             harness.offer("r1", chunk)
         await harness.drain()
-        await harness.fix()  # baseline fix + builds streaming state
+        await harness.fix()  # baseline fix
         await harness.supervisor.checkpoint(harness.deployment_id)
-        pre_kill = _streaming_stats(harness)
 
         harness.supervisor.kill(harness.deployment_id)
         await _wait_for(
@@ -299,14 +286,7 @@ async def _run_actor_kill(
         warm = actor.stats.warm_restored
         restored = actor.stats.restored_reports
         cycles, _fix = await _recover_fixes(harness, chunks[half:])
-        post = _streaming_stats(harness)
         ledger_ok, acct = harness.reconciles()
-        append_path_ok = True
-        if pre_kill is not None and post is not None:
-            # Warm restore + priming means serving fixes after new data
-            # extend the accumulator instead of rebuilding history.
-            append_path_ok = post["extensions"] >= 1
-            details["post_restart_streaming"] = post
         details.update(
             {
                 "warm_restored": warm,
@@ -319,7 +299,6 @@ async def _run_actor_kill(
             warm
             and restored > 0
             and cycles <= config.recovery_fix_budget
-            and append_path_ok
             and ledger_ok
         )
         return ScenarioOutcome(

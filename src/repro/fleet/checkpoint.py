@@ -2,9 +2,9 @@
 
 A :class:`DeploymentCheckpoint` snapshots everything a restarted actor
 needs to *warm-start* instead of rebuilding from nothing: the per-stream
-report buffers (byte-for-byte, so the streaming accumulator's
-exact-prefix check accepts the restored series), the validator
-quarantine counters, and the last known degradation state per stream.
+report buffers (byte-for-byte, so a restored server fixes exactly as
+the one it replaces), the validator quarantine counters, and the last
+known degradation state per stream.
 
 Checkpoints serialize to a versioned JSON document
 (``schema: tagspin-checkpoint/1``) through a pluggable
@@ -103,8 +103,8 @@ class DeploymentCheckpoint:
         """Load the snapshot into a fresh server.
 
         Buffers are replaced wholesale (preserving exact report order, so
-        a later append extends the streaming accumulator instead of
-        forcing a cold rebuild) and degradation states carry over.
+        fixes after later appends match an uninterrupted server's) and
+        degradation states carry over.
         Validator counters restart at zero — the validators' duplicate
         windows died with the old process, and pretending otherwise would
         double-count; cross-incarnation totals are the supervisor's job.

@@ -115,8 +115,9 @@ class DeploymentSpec:
     sharded workers, in-process actors and ``tagspin serve`` alike.
     ``"adaptive-harmonic"`` refines only the peak a fix needs, over
     harmonic tables cached per disk geometry: end to end it serves
-    fixes ~4x faster than ``"streaming"`` and is the fastest engine on
-    the sharded fleet (EXPERIMENTS.md, "Serving engine").
+    fixes several times faster than the dense engines and is the
+    fastest engine on the sharded fleet (EXPERIMENTS.md, "Serving
+    engine").
     """
 
     deployment_id: str

@@ -7,24 +7,14 @@ Public surface:
 * :class:`~repro.perf.engine.ReferenceEngine` — the seed per-call path;
 * :class:`~repro.perf.batched.BatchedEngine` — cached steering matrices
   + whole-grid vectorized evaluation under a memory budget;
-* :class:`~repro.perf.parallel.ParallelEngine` — worker-pool fan-out
-  with a serial fallback;
 * :class:`~repro.perf.adaptive.AdaptiveEngine` — coarse-to-fine basin
   search down to an angular tolerance, dense fallback on flat spectra;
 * :class:`~repro.perf.harmonic.HarmonicEngine` — Jacobi-Anger harmonic
   decomposition with batched inverse-FFT grid evaluation and cross-fix
   steering-phasor caching;
-* :mod:`~repro.perf.native` — optional numba kernels behind the
-  harmonic engine (:data:`~repro.perf.native.NATIVE_AVAILABLE`,
-  :func:`~repro.perf.native.native_status`) with a transparent
-  pure-NumPy fallback;
-* :class:`~repro.perf.streaming.StreamingEngine` /
-  :class:`~repro.perf.streaming.StreamingSpectrumAccumulator` —
-  incremental per-link residual accumulation for append-only batches;
 * :func:`~repro.perf.engine.create_engine` — resolve ``engine=`` specs
-  (``"reference"`` / ``"batched"`` / ``"parallel"`` / ``"adaptive"`` /
-  ``"adaptive-harmonic"`` / ``"streaming"`` / ``"harmonic"`` /
-  ``"harmonic+native"`` / instance).
+  (``"reference"`` / ``"batched"`` / ``"adaptive"`` / ``"harmonic"`` /
+  ``"adaptive-harmonic"`` / instance).
 """
 
 from repro.perf.adaptive import AdaptiveEngine
@@ -37,10 +27,7 @@ from repro.perf.engine import (
     create_engine,
 )
 from repro.perf.harmonic import HarmonicEngine
-from repro.perf.native import NATIVE_AVAILABLE, native_status
-from repro.perf.parallel import ParallelEngine
 from repro.perf.steering import SteeringCache
-from repro.perf.streaming import StreamingEngine, StreamingSpectrumAccumulator
 
 __all__ = [
     "AdaptiveEngine",
@@ -49,13 +36,8 @@ __all__ = [
     "EngineSpec",
     "HarmonicEngine",
     "LRUCache",
-    "NATIVE_AVAILABLE",
-    "ParallelEngine",
     "ReferenceEngine",
     "SpectrumEngine",
     "SteeringCache",
-    "StreamingEngine",
-    "StreamingSpectrumAccumulator",
     "create_engine",
-    "native_status",
 ]

@@ -20,10 +20,6 @@ within ``1e-9`` in both power and peak, while the adaptive engine is
 held to its configured angular ``tolerance`` on the peak (its power
 samples live on the coarse grid it actually evaluated, so dense power
 arrays are only compared when shapes match).
-
-:func:`run_streaming_microbench` times the streaming accumulator's
-defining claim separately: an append-only second fix must be strictly
-cheaper than a cold fix over the same final series.
 """
 
 from __future__ import annotations
@@ -246,7 +242,7 @@ def _engine_for(name: str, tolerance: Optional[float]) -> SpectrumEngine:
 
 def run_scenario(
     spec: ScenarioSpec,
-    engines: Sequence[str] = ("reference", "batched", "parallel", "harmonic"),
+    engines: Sequence[str] = ("reference", "batched", "harmonic"),
     rounds: int = 3,
     seed: int = 2016,
     sigma: float = BENCH_SIGMA,
@@ -333,7 +329,7 @@ def run_scenario(
 
 def run_engine_scaling(
     scales: Sequence[str] = ("small", "medium", "large"),
-    engines: Sequence[str] = ("reference", "batched", "parallel", "harmonic"),
+    engines: Sequence[str] = ("reference", "batched", "harmonic"),
     rounds: int = 3,
     seed: int = 2016,
     snapshots: Optional[int] = None,
@@ -470,107 +466,6 @@ def format_telemetry_overhead(overhead: TelemetryOverhead) -> str:
     )
 
 
-# ----------------------------------------------------------------------
-# Streaming microbenchmark
-# ----------------------------------------------------------------------
-@dataclass
-class StreamingMicrobench:
-    """Cold-vs-warm timing of the streaming accumulator's append path.
-
-    ``cold_s`` is the best-of-``repeats`` time of a full-series spectrum
-    on a fresh engine; ``warm_s`` the same spectrum when the engine has
-    already accumulated every snapshot but the appended tail.  Both
-    evaluate the identical final series, and ``max_error`` verifies the
-    warm result is bit-equal to the reference.
-    """
-
-    snapshots: int
-    appended: int
-    grid_points: int
-    repeats: int
-    cold_s: float
-    warm_s: float
-    speedup: float
-    max_error: float
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def run_streaming_microbench(
-    snapshots: int = 240,
-    appended: int = 24,
-    azimuth_resolution_deg: float = 0.5,
-    sigma: float = BENCH_SIGMA,
-    repeats: int = 5,
-    seed: int = 2016,
-) -> StreamingMicrobench:
-    """Time a cold fix vs an append-only warm fix on one stream."""
-    if not 0 < appended < snapshots:
-        raise ValueError("appended must be in (0, snapshots)")
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
-    from repro.perf.streaming import StreamingEngine
-
-    spec = ScenarioSpec(
-        "stream",
-        disks=1,
-        antennas=1,
-        channels=1,
-        snapshots=snapshots,
-        azimuth_resolution_deg=azimuth_resolution_deg,
-    )
-    full = build_series(spec, seed)[0]
-    prefix = dataclasses.replace(
-        full,
-        times=full.times[: snapshots - appended],
-        phases=full.phases[: snapshots - appended],
-    )
-    grid = default_azimuth_grid(np.deg2rad(azimuth_resolution_deg))
-
-    cold_s = float("inf")
-    for _ in range(repeats):
-        engine = StreamingEngine()
-        start = time.perf_counter()
-        engine.azimuth_spectrum(full, grid, sigma)
-        cold_s = min(cold_s, time.perf_counter() - start)
-        engine.close()
-
-    warm_s = float("inf")
-    warm_spectrum = None
-    for _ in range(repeats):
-        engine = StreamingEngine()
-        engine.azimuth_spectrum(prefix, grid, sigma)  # pre-accumulate
-        start = time.perf_counter()
-        warm_spectrum = engine.azimuth_spectrum(full, grid, sigma)
-        warm_s = min(warm_s, time.perf_counter() - start)
-        engine.close()
-
-    expected = ReferenceEngine().azimuth_spectrum(full, grid, sigma)
-    assert warm_spectrum is not None
-    max_error = max(
-        float(np.max(np.abs(expected.power - warm_spectrum.power))),
-        _angular_difference(
-            expected.peak_azimuth, warm_spectrum.peak_azimuth
-        ),
-    )
-    if max_error > DENSE_ERROR_BUDGET:
-        raise AssertionError(
-            f"streaming warm spectrum deviates from the reference by "
-            f"{max_error:.3e}; the microbenchmark timed wrong spectra"
-        )
-    return StreamingMicrobench(
-        snapshots=snapshots,
-        appended=appended,
-        grid_points=int(grid.size),
-        repeats=repeats,
-        cold_s=cold_s,
-        warm_s=warm_s,
-        speedup=cold_s / warm_s if warm_s > 0 else float("inf"),
-        max_error=max_error,
-    )
-
-
 def format_results(results: Sequence[ScenarioResult]) -> str:
     """Human-readable scaling table."""
     lines = []
@@ -598,21 +493,8 @@ def format_results(results: Sequence[ScenarioResult]) -> str:
     return "\n".join(lines).rstrip()
 
 
-def format_streaming(micro: StreamingMicrobench) -> str:
-    """Human-readable streaming microbenchmark summary."""
-    return (
-        f"streaming microbench: {micro.snapshots} snapshots "
-        f"({micro.appended} appended), {micro.grid_points}-point grid, "
-        f"best of {micro.repeats}\n"
-        f"  cold fix {micro.cold_s * 1e3:9.3f} ms | warm (append-only) "
-        f"{micro.warm_s * 1e3:9.3f} ms | {micro.speedup:5.2f}x | "
-        f"max |err| {micro.max_error:.2e}"
-    )
-
-
 def results_to_json(
     results: Sequence[ScenarioResult],
-    streaming: Optional[StreamingMicrobench] = None,
     telemetry: Optional[TelemetryOverhead] = None,
     metrics: Optional[dict] = None,
 ) -> str:
@@ -627,8 +509,6 @@ def results_to_json(
         "schema": "tagspin-bench/1",
         "scenarios": [r.as_dict() for r in results],
     }
-    if streaming is not None:
-        payload["streaming"] = streaming.as_dict()
     if telemetry is not None:
         payload["telemetry"] = telemetry.as_dict()
     if metrics is not None:

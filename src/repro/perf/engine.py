@@ -3,30 +3,29 @@
 A :class:`SpectrumEngine` turns snapshot series into angle spectra.  The
 localization pipeline (:class:`repro.core.pipeline.TagspinSystem`) calls
 through this interface, so the evaluation strategy — straight per-call
-computation, cached/batched evaluation, or multi-worker fan-out — is
-swappable without touching the pipeline:
+computation, cached/batched evaluation, FFT evaluation or a
+coarse-to-fine search — is swappable without touching the pipeline:
 
 * :class:`ReferenceEngine` delegates to the original
   :mod:`repro.core.spectrum` functions and is the correctness baseline.
 * :class:`~repro.perf.batched.BatchedEngine` evaluates whole candidate
   grids in single vectorized passes under a memory budget and caches
   steering matrices, residuals and finished spectra.
-* :class:`~repro.perf.parallel.ParallelEngine` fans independent series
-  out across a worker pool.
+* :class:`~repro.perf.harmonic.HarmonicEngine` evaluates full-circle
+  grids by batched inverse FFTs of a Jacobi-Anger expansion and caches
+  the steering phasors per geometry.
 * :class:`~repro.perf.adaptive.AdaptiveEngine` replaces dense scans with
   a coarse-to-fine basin search down to a configurable angular
-  tolerance, falling back to the dense engine on flat spectra.
-* :class:`~repro.perf.streaming.StreamingEngine` accumulates per-link
-  residual matrices so append-only batches pay only for new snapshots.
+  tolerance, falling back to its dense engine on flat spectra.
 
 ``sigma=None`` selects the traditional profile ``Q``; a positive
 ``sigma`` selects the enhanced profile ``R`` with that weight width.
 Dense engines must be equivalent to the reference within ``1e-9``
-(``tests/perf`` enforces this; the batched and streaming engines are
-bit-identical by construction because they share the reference's
-arithmetic kernels).  The adaptive engine relaxes only the *peak*: it
-is within its configured angular ``tolerance`` of the dense peak, and
-its power samples live on the coarse grid it actually evaluated.
+(``tests/perf`` enforces this; the batched engine is bit-identical by
+construction because it shares the reference's arithmetic kernels).
+The adaptive engine relaxes only the *peak*: it is within its
+configured angular ``tolerance`` of the dense peak, and its power
+samples live on the coarse grid it actually evaluated.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class SpectrumEngine:
     """Base strategy: per-series spectrum evaluation.
 
     Subclasses must implement the two single-series methods; the batch
-    methods default to a serial loop and exist so fan-out engines can
+    methods default to a serial loop and exist so batching engines can
     schedule the whole workload at once.
     """
 
@@ -156,13 +155,6 @@ class SpectrumEngine:
             self.joint_spectra(series_list, azimuth_grid, polar_grid, sigma)
         )
 
-    def invalidate_streams(self) -> None:
-        """Drop incremental per-stream state, if the engine keeps any.
-
-        Called by the server when a stream buffer is explicitly cleared;
-        a no-op for engines whose caches are keyed purely on values.
-        """
-
     def cache_stats(self) -> dict:
         """Per-cache counters; empty for cacheless engines."""
         return {}
@@ -222,14 +214,10 @@ def create_engine(
     """Resolve an ``engine=`` argument into a :class:`SpectrumEngine`.
 
     ``None`` and ``"reference"`` give the reference engine, ``"batched"``
-    the cached vectorized engine, ``"parallel"`` (or
-    ``"parallel-thread"`` / ``"parallel-process"``) a worker-pool fan-out
-    over a batched engine, ``"adaptive"`` the coarse-to-fine solver,
-    ``"streaming"`` the incremental accumulator over a batched engine,
-    ``"harmonic"`` the Jacobi-Anger/FFT engine (``"harmonic+native"``
-    additionally *requires* the numba backend and fails loudly when it
-    is absent) and ``"adaptive-harmonic"`` the coarse-to-fine solver
-    with the harmonic engine as its dense stage.  Instances pass through
+    the cached vectorized engine, ``"harmonic"`` the Jacobi-Anger/FFT
+    engine, ``"adaptive"`` the coarse-to-fine solver over a batched
+    dense stage and ``"adaptive-harmonic"`` the same solver with the
+    harmonic engine as its dense stage.  Instances pass through
     unchanged.
 
     ``tolerance`` sets the adaptive engines' angular tolerance [rad]; it
@@ -256,17 +244,11 @@ def create_engine(
     from repro.perf.adaptive import AdaptiveEngine
     from repro.perf.batched import BatchedEngine
     from repro.perf.harmonic import HarmonicEngine
-    from repro.perf.parallel import ParallelEngine
-    from repro.perf.streaming import StreamingEngine
 
     if normalized == "reference":
         return ReferenceEngine()
     if normalized == "batched":
         return BatchedEngine()
-    if normalized in ("parallel", "parallel-thread"):
-        return ParallelEngine(mode="thread")
-    if normalized == "parallel-process":
-        return ParallelEngine(mode="process")
     if normalized in ("adaptive", "adaptive-harmonic"):
         dense = HarmonicEngine() if normalized == "adaptive-harmonic" else None
         kwargs = {} if tolerance is None else {"tolerance": tolerance}
@@ -276,27 +258,20 @@ def create_engine(
         if normalized == "adaptive-harmonic":
             engine.name = "adaptive-harmonic"
         return engine
-    if normalized == "streaming":
-        return StreamingEngine()
     if normalized == "harmonic":
         return HarmonicEngine()
-    if normalized == "harmonic+native":
-        return HarmonicEngine(use_native=True)
     raise ValueError(
         f"unknown spectrum engine {spec!r}; expected 'reference', "
-        f"'batched', 'parallel', 'parallel-thread', 'parallel-process', "
-        f"'adaptive', 'adaptive-harmonic', 'streaming', 'harmonic' or "
-        f"'harmonic+native'"
+        f"'batched', 'adaptive', 'harmonic' or 'adaptive-harmonic'"
     )
 
 
 def merge_cache_stats(stats_dicts: Sequence[dict]) -> dict:
     """Fold per-process ``cache_stats()`` dicts into fleet-wide totals.
 
-    Process fan-out (:class:`~repro.perf.parallel.ParallelEngine` in
-    process mode, the sharded fleet's worker processes) leaves each
-    worker holding its own cache counters; benchmarks that read only the
-    parent's engine report zeros.  This merges any number of snapshots:
+    The sharded fleet's worker processes each hold their own cache
+    counters; benchmarks that read only the parent's engine report
+    zeros.  This merges any number of snapshots:
 
     * numeric counters sum;
     * ``min``/``max`` keys take the elementwise min/max;

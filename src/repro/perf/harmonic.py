@@ -31,9 +31,13 @@ steering cache — and a re-fix against new phases over the same geometry
   trigonometric steering, no separate centering pass) and the weighted
   coherent sum runs as one contiguous complex einsum against ``S`` —
   the residual-phasor matrix ``E = phasor[:, None] * S`` is never
-  materialized (see :func:`repro.perf.native.harmonic_accumulate`).
+  materialized (see :func:`harmonic_accumulate`).
   The circular-mean centering rotation has unit modulus and factors out
   of the final magnitude, so only the weights ever see centered values.
+  The centered residuals wrap as ``x - 2*pi*rint(x / 2*pi)`` rather than
+  the reference's ``wrap_phase_signed``; the two differ only at the
+  half-period boundary, where the Gaussian weight is ~exp(-250) at the
+  default sigma, so the profiles agree to ~1e-12.
 
 Non-circular grids (the local refinement windows of the joint search,
 callers with bounded sector grids) fall back to an exact rank-2 dense
@@ -53,10 +57,6 @@ its coarse grids are strided views of full-circle grids, which stay
 uniform-circular, and the coefficient fold keeps aliased small grids
 exact — pass ``dense=HarmonicEngine()`` (or use
 ``create_engine("adaptive-harmonic")``).
-
-The optional numba backend (:mod:`repro.perf.native`) accelerates the
-weighted accumulation; everything here is pure NumPy + SciPy when numba
-is absent.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ from repro.core.spectrum import (
 )
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, get_registry
 from repro.obs.trace import get_tracer
-from repro.perf import native
 from repro.perf.cache import LRUCache, quantize_array, quantize_scalar
 from repro.perf.engine import SpectrumEngine
 from repro.perf.steering import grid_key, series_geometry_key
@@ -256,15 +255,92 @@ def _scatter_band(
     return out
 
 
+def harmonic_accumulate(
+    phasor: np.ndarray,
+    steering: np.ndarray,
+    coefficients: Optional[np.ndarray],
+    trig: Optional[np.ndarray],
+    measured: Optional[np.ndarray],
+    sigma: Optional[float],
+    work: Optional[np.ndarray] = None,
+    cwork: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Accumulate measured phasors against steering phasors into power.
+
+    ``phasor`` is the measured-phase phasor vector ``exp(1j * m_i)``
+    (length ``snapshots``); ``steering`` the complex steering-phasor
+    matrix ``S[i, k] = exp(-1j * c_i(phi_k))`` produced by the harmonic
+    engine's batched inverse FFT.  The Q profile (``sigma=None``) is one
+    BLAS vector-matrix product; pass ``None`` for the remaining array
+    arguments.  The R profile additionally needs the raw residual
+    ingredients — ``coefficients`` the ``(snapshots, 2)`` harmonic
+    ``(A, B)`` stack, ``trig`` the ``(2, grid)`` cos/sin rows of the
+    azimuth grid and ``measured`` the relative phases ``m_i`` — from
+    which the Gaussian weights are built in place (the centering
+    rotation has unit modulus and factors out of the final magnitude,
+    so only the weights ever see centered values).  ``work`` (float,
+    ``(2, snapshots, grid)``) and ``cwork`` (complex, ``(snapshots,
+    grid)``) may supply scratch to eliminate the large temporaries.
+    Returns ``(power, colsum)`` where ``colsum`` holds the complex
+    per-column totals of ``phasor[:, None] * S`` (reused by the engine
+    as a free Q profile over the same series and grid).
+    """
+    if sigma is not None and sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if sigma is not None and (
+        coefficients is None or trig is None or measured is None
+    ):
+        raise ValueError(
+            "the R profile needs coefficients, trig and measured phases"
+        )
+    count = phasor.size
+    colsum = phasor @ steering  # one BLAS zgemv
+    if sigma is None:
+        return np.abs(colsum) / count, colsum
+    if work is None:
+        work = np.empty((2,) + steering.shape)
+    if cwork is None:
+        cwork = np.empty(steering.shape, dtype=np.complex128)
+    # Build the *centered* residuals directly in fractional turns with a
+    # single rank-4 matmul: x_ik / 2pi = (m_i - A_i cos(phi_k)
+    # - B_i sin(phi_k) - mu_k) / 2pi.  Folding the measured phases, the
+    # circular means and the 1/2pi wrap scale into the matmul saves
+    # three full passes over the (snapshots x grid) block.
+    mu = np.arctan2(colsum.imag, colsum.real)
+    inv = 1.0 / TWO_PI
+    lhs = np.empty((count, 4))
+    lhs[:, 0] = coefficients[:, 0]
+    lhs[:, 1] = coefficients[:, 1]
+    lhs[:, 2] = measured
+    lhs[:, 3] = 1.0
+    lhs *= -inv
+    lhs[:, 2:] *= -1.0
+    rhs = np.empty((4, trig.shape[1]))
+    rhs[0] = trig[0]
+    rhs[1] = trig[1]
+    rhs[2] = 1.0
+    rhs[3] = -mu
+    x = np.matmul(lhs, rhs, out=work[1])
+    # Wrap onto the rint branch and weight in place:
+    # x -> exp(-0.5 ((2pi x mod' 2pi) / sigma)^2) (see module docstring).
+    nearest = np.rint(x, out=work[0])
+    x -= nearest
+    np.square(x, out=x)
+    x *= -0.5 * (TWO_PI / sigma) ** 2
+    weights = np.exp(x, out=x)
+    # acc_k = sum_i w_ik * phasor_i * S[i, k]: scale the weights by the
+    # phasor once, then one contiguous complex einsum against S — the
+    # residual-phasor matrix E = phasor[:, None] * S is never formed.
+    scaled = np.multiply(weights, phasor[:, np.newaxis], out=cwork)
+    acc = np.einsum("ij,ij->j", scaled, steering)
+    return np.abs(acc) / count, colsum
+
+
 class HarmonicEngine(SpectrumEngine):
     """FFT-evaluated spectrum engine over harmonic phase coefficients.
 
     Parameters
     ----------
-    use_native : ``"auto"`` uses the numba backend when importable,
-        ``True`` requires it (raising ``ValueError`` when absent, which
-        is how ``create_engine("harmonic+native")`` fails loudly on
-        machines without numba), ``False`` forces pure NumPy.
     order_margin : extra harmonic orders on top of the adaptive
         truncation — the accuracy knob; the default already targets
         ~1e-13 tails.
@@ -286,7 +362,6 @@ class HarmonicEngine(SpectrumEngine):
 
     def __init__(
         self,
-        use_native: "bool | str" = "auto",
         order_margin: int = 0,
         max_order: int = DEFAULT_MAX_ORDER,
         steering_budget: int = DEFAULT_STEERING_BUDGET,
@@ -296,25 +371,12 @@ class HarmonicEngine(SpectrumEngine):
         grid_budget: int = DEFAULT_GRID_BUDGET,
         fft_block_elements: int = DEFAULT_FFT_BLOCK_ELEMENTS,
     ) -> None:
-        if use_native not in (True, False, "auto"):
-            raise ValueError("use_native must be True, False or 'auto'")
-        if use_native is True and not native.NATIVE_AVAILABLE:
-            raise ValueError(
-                "the native (numba) backend was requested but numba is "
-                "not importable (or TAGSPIN_DISABLE_NATIVE is set); "
-                "install numba or use the pure-NumPy 'harmonic' engine"
-            )
         if order_margin < 0:
             raise ValueError("order_margin must be non-negative")
         if max_order < 1:
             raise ValueError("max_order must be positive")
         if fft_block_elements < 1:
             raise ValueError("fft_block_elements must be positive")
-        self.use_native = (
-            native.NATIVE_AVAILABLE if use_native == "auto" else use_native
-        )
-        if use_native is True:
-            self.name = "harmonic+native"
         self.order_margin = int(order_margin)
         self.max_order = int(max_order)
         self.fft_block_elements = int(fft_block_elements)
@@ -453,8 +515,6 @@ class HarmonicEngine(SpectrumEngine):
         residuals = measured[np.newaxis, :] - (
             np.outer(np.cos(grid), A) + np.outer(np.sin(grid), B)
         )
-        if self.use_native:
-            return native.power_from_residuals(residuals, sigma)
         return power_from_residuals(residuals, sigma)
 
     # ------------------------------------------------------------------
@@ -470,21 +530,20 @@ class HarmonicEngine(SpectrumEngine):
         sigma: Optional[float],
     ) -> Tuple[np.ndarray, np.ndarray]:
         work = cwork = None
-        if sigma is not None and not self.use_native:
+        if sigma is not None:
             work = self._scratch_buffer(
                 "work", (2,) + steering.shape, np.float64
             )
             cwork = self._scratch_buffer(
                 "cwork", steering.shape, np.complex128
             )
-        return native.harmonic_accumulate(
+        return harmonic_accumulate(
             phasor,
             steering,
             coefficients,
             trig,
             measured,
             sigma,
-            use_native=self.use_native,
             work=work,
             cwork=cwork,
         )
@@ -911,7 +970,6 @@ class HarmonicEngine(SpectrumEngine):
                 "orders": orders,
                 "fft_batches": self.fft_batches,
                 "dense_fallbacks": self.dense_fallbacks,
-                "native": bool(self.use_native),
             },
         }
 

@@ -120,11 +120,7 @@ class ResilientLocalizationServer(LocalizationServer):
         fallback) and the monitor only need spectrum peaks, which its
         coarse-to-fine search finds over per-geometry harmonic tables
         cached across fixes.  ``"batched"`` and ``"harmonic"`` keep
-        dense power surfaces; ``"streaming"`` appends residual columns
-        on poll-after-append and stays safe under this server's
-        quarantining, because any validator decision that reorders,
-        drops or re-references early reports changes the series
-        prefix, which the accumulator answers with a cold rebuild.
+        dense power surfaces.
     """
 
     def __init__(
@@ -259,7 +255,7 @@ class ResilientLocalizationServer(LocalizationServer):
         return self.system.engine.cache_stats()
 
     def close(self) -> None:
-        """Release engine-held resources (worker pools, caches).
+        """Release engine-held resources (caches).
 
         Called by sharded-fleet workers during graceful shutdown; safe to
         call more than once.

@@ -14,14 +14,9 @@ The repeated poll-after-append pattern is served on
 spectrum peak, which the coarse-to-fine search finds over harmonic
 steering tables that are realized by batched inverse FFTs and cached per
 geometry, so re-locating against an updated buffer (same disks, new
-phases) pays no steering work at all.  ``engine="streaming"`` instead
-keeps per-series residual state: its
-:class:`~repro.perf.streaming.StreamingSpectrumAccumulator` recognizes
-that the new batch extends the previous one and appends only the new
-snapshots' residual columns, but still evaluates the dense grid on every
-fix.  Explicitly clearing a stream also clears that per-stream state
-(any other buffer change is detected by the accumulator's own prefix
-check).
+phases) pays no steering work at all.  Engines key their caches on
+values (series geometry, phases, grid), never on stream identity, so
+clearing or restoring a buffer needs no engine bookkeeping.
 """
 
 from __future__ import annotations
@@ -147,8 +142,6 @@ class LocalizationServer:
             window = list(reports)[-self.max_buffer :]
             restored[(reader_name, antenna_port)] = StreamBuffer(window)
         self._streams = restored
-        # Any engine stream state describes the pre-restore buffers.
-        self.system.engine.invalidate_streams()
         return sum(len(b.reports) for b in restored.values())
 
     def stream_report_count(self, reader_name: str, antenna_port: int) -> int:
@@ -165,11 +158,6 @@ class LocalizationServer:
         ]
         for key in keys:
             del self._streams[key]
-        if keys:
-            # Streaming engines key residual state per series, not per
-            # stream buffer; dropping all of it is conservative and the
-            # next fix simply rebuilds cold.
-            self.system.engine.invalidate_streams()
 
     # ------------------------------------------------------------------
     # Queries

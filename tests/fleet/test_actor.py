@@ -208,8 +208,8 @@ class TestCheckpointing:
         assert revived.stats.warm_restored
         assert revived.stats.restored_reports == 6
         assert events.count(EVENT_CHECKPOINT_RESTORED) == 1
-        # The restore primed the streams (one locate before the request).
-        assert factory.servers[1].locate_calls == 2
+        # The restore runs no fix of its own: only the request locates.
+        assert factory.servers[1].locate_calls == 1
         assert factory.servers[1].snapshot_streams() == (
             factory.servers[0].snapshot_streams()
         )

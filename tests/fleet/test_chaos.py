@@ -45,9 +45,6 @@ class TestSuiteVerdicts:
         assert details["warm_restored"]
         assert details["restored_reports"] > 0
         assert details["recovery_cycles"] <= ChaosConfig().recovery_fix_budget
-        # Post-restart fixes rode the streaming append path.
-        streaming = details["post_restart_streaming"]
-        assert streaming["extensions"] >= 1
 
     def test_flood_sheds_bystanders_first_and_reconciles(self, chaos_report):
         details = chaos_report.outcome("ingest-flood").details

@@ -15,6 +15,7 @@ import pytest
 
 from repro.fleet.sharding import ShardedFleet, shard_for
 from repro.fleet.supervisor import FleetSupervisor
+from repro.fleet.worker import DeploymentSpec
 from repro.obs.exposition import (
     histogram_totals,
     sample_value,
@@ -174,7 +175,7 @@ class TestShardedMetricsMerge:
             return ResilientLocalizationServer(
                 registry,
                 calibrated_scenario_2d.config.pipeline,
-                engine="streaming",
+                engine=DeploymentSpec.engine,
             )
 
         with use_registry():

@@ -57,7 +57,9 @@ def in_process_fix(scenario, batch, engine):
 
 @pytest.fixture(scope="module")
 def reference_fix(calibrated_scenario_2d, collected):
-    return in_process_fix(calibrated_scenario_2d, collected, "streaming")
+    return in_process_fix(
+        calibrated_scenario_2d, collected, DeploymentSpec.engine
+    )
 
 
 def make_spec(calibrated_scenario_2d, deployment_id: str) -> DeploymentSpec:
@@ -65,7 +67,6 @@ def make_spec(calibrated_scenario_2d, deployment_id: str) -> DeploymentSpec:
         deployment_id=deployment_id,
         registry_records=tuple(calibrated_scenario_2d.scene.registry),
         pipeline=calibrated_scenario_2d.config.pipeline,
-        engine="streaming",
     )
 
 
@@ -324,7 +325,7 @@ class TestShardedFleetServing:
                 assert_balanced(ledger)
             stats = fleet.engine_stats()
             assert set(stats) == set(ids)
-            assert stats["dep-shm"]["streaming"]["cold_builds"] > 0
+            assert stats["dep-shm"]["steering"]["misses"] > 0
             pids = [
                 info["pid"] for info in fleet.worker_info() if info["pid"]
             ]
@@ -372,10 +373,10 @@ class TestShardedFleetServing:
         """Satellite SLO: checkpoint/restore across the process boundary.
 
         Stream half the series, checkpoint, SIGKILL the worker, restart
-        the shard, stream the rest.  The restored streaming accumulator
-        must accept the exact-prefix append — the final fix equals the
-        uninterrupted single-process fix to 1e-9 — and the ledger must
-        balance across both worker incarnations.
+        the shard, stream the rest.  The restored buffers must extend
+        exactly — the final fix equals the uninterrupted single-process
+        fix to 1e-9 — and the ledger must balance across both worker
+        incarnations.
         """
         reports = collected.reports
         half = len(reports) // 2

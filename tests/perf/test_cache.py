@@ -1,4 +1,5 @@
-"""Unit tests for the cost-bounded LRU cache and key quantization."""
+"""Unit tests for the cost-bounded LRU cache, key quantization and the
+fleet-wide merge of per-process cache stats."""
 
 from __future__ import annotations
 
@@ -143,3 +144,29 @@ class TestLRUCache:
         stats = cache.stats
         assert stats.hits + stats.misses == 4 * 200
         assert stats.cost <= 64
+
+
+class TestMergeCacheStats:
+    def test_numeric_leaves_sum_and_special_keys(self):
+        from repro.perf.engine import merge_cache_stats
+
+        merged = merge_cache_stats([
+            {"spectra": {"hits": 2, "misses": 1},
+             "orders": {"count": 2, "min": 3, "max": 7, "mean": 5.0}},
+            {"spectra": {"hits": 5, "misses": 0},
+             "orders": {"count": 6, "min": 1, "max": 5, "mean": 2.0}},
+        ])
+        assert merged["spectra"] == {"hits": 7, "misses": 1}
+        # min/max take extrema; mean is weighted by the sibling count.
+        assert merged["orders"]["count"] == 8
+        assert merged["orders"]["min"] == 1
+        assert merged["orders"]["max"] == 7
+        assert merged["orders"]["mean"] == pytest.approx(
+            (5.0 * 2 + 2.0 * 6) / 8
+        )
+
+    def test_empty_and_missing_inputs_are_skipped(self):
+        from repro.perf.engine import merge_cache_stats
+
+        assert merge_cache_stats([]) == {}
+        assert merge_cache_stats([{}, {"a": 1}, None]) == {"a": 1}

@@ -10,9 +10,8 @@ expansion realized by batched inverse FFTs.  The tests pin:
 * the dense fallback on non-circular (sector) grids;
 * cross-fix batching: ``evaluate_many`` matches per-series evaluation,
   re-fixing the same geometry with new phases hits the steering cache;
-* the accumulate kernel's argument validation and the native backend's
-  availability contract (absent numba, ``harmonic+native`` fails
-  loudly; the env veto wins over an installed numba).
+* the accumulate kernel's argument validation;
+* the engine registry's names.
 """
 
 from __future__ import annotations
@@ -36,14 +35,8 @@ from repro.perf.harmonic import (
     MIN_FFT_GRID_POINTS,
     _circular_layout,
     bessel_table,
-    harmonic_order,
-)
-from repro.perf.native import (
-    NATIVE_AVAILABLE,
-    _disabled_by_env,
     harmonic_accumulate,
-    native_status,
-    power_from_residuals,
+    harmonic_order,
 )
 
 TOLERANCE = 1e-9
@@ -97,7 +90,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("points", [36, 90, 720])
     def test_circular_grids(self, points, sigma):
         grid = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
-        with HarmonicEngine(use_native=False) as engine:
+        with HarmonicEngine() as engine:
             _assert_equivalent(engine, _series(), grid, sigma)
             assert engine.dense_fallbacks == 0
 
@@ -107,7 +100,7 @@ class TestEquivalence:
         # exists, so the engine must fall back to direct evaluation.
         grid = np.linspace(0.5, 0.5 + np.pi / 2.0, 181)
         assert _circular_layout(grid) is None
-        with HarmonicEngine(use_native=False) as engine:
+        with HarmonicEngine() as engine:
             _assert_equivalent(engine, _series(), grid, sigma)
             assert engine.dense_fallbacks > 0
 
@@ -116,7 +109,7 @@ class TestEquivalence:
             0.0, 2.0 * np.pi, MIN_FFT_GRID_POINTS - 8, endpoint=False
         )
         assert _circular_layout(grid) is None
-        with HarmonicEngine(use_native=False) as engine:
+        with HarmonicEngine() as engine:
             _assert_equivalent(engine, _series(), grid, SIGMA)
             assert engine.dense_fallbacks > 0
 
@@ -128,7 +121,7 @@ class TestEquivalence:
         rho = 4.0 * np.pi * series.radius / series.wavelength
         grid = np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False)
         assert 2 * harmonic_order(rho) + 1 > grid.size
-        with HarmonicEngine(use_native=False) as engine:
+        with HarmonicEngine() as engine:
             _assert_equivalent(engine, series, grid, SIGMA)
             assert engine.dense_fallbacks == 0
 
@@ -138,7 +131,7 @@ class TestEquivalence:
         expected = ReferenceEngine().azimuth_spectrum(series, grid, SIGMA)
         worst = []
         for margin in (0, 8):
-            with HarmonicEngine(use_native=False, order_margin=margin) as eng:
+            with HarmonicEngine(order_margin=margin) as eng:
                 actual = eng.azimuth_spectrum(series, grid, SIGMA)
             worst.append(float(np.max(np.abs(expected.power - actual.power))))
         assert worst[0] <= TOLERANCE
@@ -154,7 +147,7 @@ class TestEquivalence:
         expected = ReferenceEngine().joint_spectrum(
             series, azimuths, polars, SIGMA
         )
-        with HarmonicEngine(use_native=False) as engine:
+        with HarmonicEngine() as engine:
             actual = engine.joint_spectrum(series, azimuths, polars, SIGMA)
         assert np.max(np.abs(expected.power - actual.power)) <= TOLERANCE
 
@@ -163,10 +156,10 @@ class TestCrossFixBatching:
     def test_evaluate_many_matches_per_series(self):
         grid = default_azimuth_grid(np.deg2rad(1.0))
         series_list = [_series(seed) for seed in range(5)]
-        with HarmonicEngine(use_native=False) as batch_engine:
+        with HarmonicEngine() as batch_engine:
             batched = batch_engine.evaluate_many(series_list, grid, SIGMA)
         for series, got in zip(series_list, batched):
-            with HarmonicEngine(use_native=False) as solo:
+            with HarmonicEngine() as solo:
                 want = solo.azimuth_spectrum(series, grid, SIGMA)
             assert np.array_equal(want.power, got.power)
             assert want.peak_azimuth == got.peak_azimuth
@@ -178,7 +171,7 @@ class TestCrossFixBatching:
         groups = [
             [_series(seed=10 * g + c) for c in range(3)] for g in range(3)
         ]
-        with HarmonicEngine(use_native=False) as engine:
+        with HarmonicEngine() as engine:
             fused = engine.fused_azimuth_spectra(groups, grid, SIGMA)
             expected = [
                 combine_spectra(
@@ -200,7 +193,7 @@ class TestCrossFixBatching:
         corrected = dataclasses.replace(
             series, phases=np.mod(series.phases + 0.03, 2.0 * np.pi)
         )
-        with HarmonicEngine(use_native=False) as engine:
+        with HarmonicEngine() as engine:
             engine.azimuth_spectrum(series, grid, SIGMA)
             misses = engine.cache_stats()["steering"]["misses"]
             engine.azimuth_spectrum(corrected, grid, SIGMA)
@@ -211,7 +204,7 @@ class TestCrossFixBatching:
 
     def test_cache_stats_shape(self):
         grid = default_azimuth_grid(np.deg2rad(1.0))
-        with HarmonicEngine(use_native=False) as engine:
+        with HarmonicEngine() as engine:
             engine.azimuth_spectrum(_series(), grid, SIGMA)
             stats = engine.cache_stats()
         for cache in ("steering", "geometry", "spectra", "rowsums", "grids"):
@@ -221,7 +214,6 @@ class TestCrossFixBatching:
         assert orders["count"] >= 1
         assert orders["min"] <= orders["mean"] <= orders["max"]
         assert stats["harmonic"]["fft_batches"] >= 1
-        assert stats["harmonic"]["native"] is False
 
 
 class TestAccumulateKernel:
@@ -251,51 +243,16 @@ class TestAccumulateKernel:
         )
 
 
-class TestNativeBackend:
-    def test_status_is_machine_readable(self):
-        status = native_status()
-        assert set(status) == {"available", "disabled_by_env"}
-        assert status["available"] == NATIVE_AVAILABLE
-
-    def test_env_veto_parsing(self, monkeypatch):
-        for value, expect in [
-            ("1", True),
-            ("true", True),
-            ("YES", True),
-            ("", False),
-            ("0", False),
-            ("off", False),
-        ]:
-            monkeypatch.setenv("TAGSPIN_DISABLE_NATIVE", value)
-            assert _disabled_by_env() is expect
-
-    def test_power_from_residuals_matches_reference(self):
-        from repro.core.spectrum import (
-            power_from_residuals as reference_kernel,
-        )
-
-        rng = np.random.default_rng(3)
-        residuals = rng.uniform(-np.pi, np.pi, (5, 40))
-        for sigma in (None, 0.14):
-            got = power_from_residuals(residuals, sigma)
-            want = reference_kernel(residuals, sigma)
-            np.testing.assert_allclose(got, want, atol=1e-12)
-
-    @pytest.mark.skipif(NATIVE_AVAILABLE, reason="numba is installed")
-    def test_native_request_fails_loudly_without_numba(self):
-        with pytest.raises(ValueError, match="numba"):
-            HarmonicEngine(use_native=True)
-        with pytest.raises(ValueError, match="numba"):
-            create_engine("harmonic+native")
-
-    @pytest.mark.skipif(not NATIVE_AVAILABLE, reason="numba not available")
-    def test_native_parity_on_circular_grid(self):
-        grid = default_azimuth_grid(np.deg2rad(1.0))
-        with HarmonicEngine(use_native=True) as engine:
-            _assert_equivalent(engine, _series(), grid, SIGMA)
-
-
 class TestEngineRegistry:
+    def test_create_engine_names(self):
+        for spec, name in [
+            (None, "reference"),
+            ("reference", "reference"),
+            ("batched", "batched"),
+        ]:
+            with create_engine(spec) as engine:
+                assert engine.name == name
+
     def test_harmonic_names_resolve(self):
         with create_engine("harmonic") as engine:
             assert isinstance(engine, HarmonicEngine)
@@ -355,7 +312,7 @@ class TestFFTvsDirectProperties:
         )
         grid = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
         expected = ReferenceEngine().azimuth_spectrum(series, grid, sigma)
-        with HarmonicEngine(use_native=False, order_margin=margin) as engine:
+        with HarmonicEngine(order_margin=margin) as engine:
             actual = engine.azimuth_spectrum(series, grid, sigma)
         assert np.max(np.abs(expected.power - actual.power)) <= TOLERANCE
 
@@ -372,6 +329,6 @@ class TestFFTvsDirectProperties:
         expected = ReferenceEngine().joint_spectrum(
             series, azimuths, polars, sigma
         )
-        with HarmonicEngine(use_native=False) as engine:
+        with HarmonicEngine() as engine:
             actual = engine.joint_spectrum(series, azimuths, polars, sigma)
         assert np.max(np.abs(expected.power - actual.power)) <= TOLERANCE
