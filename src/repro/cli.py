@@ -23,8 +23,8 @@ Commands
     harmonic) over a synthetic multi-disk deployment and print the
     scaling table; ``--tolerance`` sets the adaptive engines' angular
     tolerance.  ``--json`` writes the full
-    ``tagspin-bench/1`` document, including every engine's cache
-    hit/miss/eviction counters and the harmonic engine's
+    ``tagspin-bench/1`` document, including every engine's memo
+    hit/miss counters and the harmonic engine's
     truncation-order statistics.
 ``serve``
     Run a supervised fleet serving session over a simulated report

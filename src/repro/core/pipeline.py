@@ -46,6 +46,7 @@ from repro.errors import InsufficientDataError
 from repro.hardware.llrp import ReportBatch
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
+from repro.perf.cache import fix_scope
 from repro.perf.engine import EngineSpec, create_engine
 from repro.robustness.diagnostics import DiskExclusion, PipelineDiagnostics
 from repro.robustness.gating import (
@@ -106,13 +107,17 @@ class TagspinSystem:
 
     ``engine`` selects the spectrum-evaluation strategy (see
     :mod:`repro.perf`): ``None``/``"reference"`` keeps the seed per-call
-    path, ``"batched"`` adds steering/spectrum caching with vectorized
-    whole-grid evaluation, ``"harmonic"`` evaluates by cached inverse
-    FFTs and ``"adaptive"`` / ``"adaptive-harmonic"`` search
-    coarse-to-fine for the peak; an engine instance is used as-is.
-    Dense engines are equivalent within 1e-9 (the batched engine
-    bit-for-bit) and the adaptive ones within their angular tolerance,
-    so the choice only affects speed.
+    path, ``"batched"`` adds vectorized whole-grid evaluation,
+    ``"harmonic"`` evaluates by inverse FFTs and ``"adaptive"`` /
+    ``"adaptive-harmonic"`` search coarse-to-fine for the peak; an
+    engine instance is used as-is.  Dense engines are equivalent within
+    1e-9 (the batched engine bit-for-bit) and the adaptive ones within
+    their angular tolerance, so the choice only affects speed.
+
+    Every ``locate_*`` call runs in one fix scope
+    (:func:`~repro.perf.cache.fix_scope`), joining the caller's when one
+    is open: the engine memoizes what the fix's passes share and drops
+    it when the scope closes.
     """
 
     def __init__(
@@ -232,11 +237,11 @@ class TagspinSystem:
     ) -> List[AngleSpectrum]:
         """One fused azimuth spectrum per disk, scheduled as one batch.
 
-        Engines with cross-fix batching (the harmonic engine) stack every
-        disk's grid into a single evaluation so shared FFT work and cache
-        lookups amortize across the whole triangulating set; engines
-        without it loop per disk, which is exactly what the scoring loops
-        used to do inline.
+        Engines that batch across series (the harmonic engine) stack
+        every disk's grid into a single evaluation so shared FFT work
+        amortizes across the whole triangulating set; engines without it
+        loop per disk, which is exactly what the scoring loops used to
+        do inline.
         """
         use_enhanced = (
             self.config.use_enhanced_profile if enhanced is None else enhanced
@@ -308,6 +313,7 @@ class TagspinSystem:
             )
         return epcs
 
+    @fix_scope()
     def locate_2d(self, batch: ReportBatch, antenna_port: int = 1) -> Fix2D:
         """Locate the reader antenna in the disk plane."""
         if self.config.disk_gating:
@@ -380,6 +386,7 @@ class TagspinSystem:
                 starved.append(starved_quality(epc))
         return all_series, starved
 
+    @fix_scope()
     def locate_2d_diagnosed(
         self, batch: ReportBatch, antenna_port: int = 1
     ) -> Tuple[Fix2D, PipelineDiagnostics]:
@@ -510,6 +517,7 @@ class TagspinSystem:
                 fix = locator.locate(centers, refined)
         return fix
 
+    @fix_scope()
     def locate_3d_diagnosed(
         self, batch: ReportBatch, antenna_port: int = 1
     ) -> Tuple[Fix3D, PipelineDiagnostics]:
@@ -649,6 +657,7 @@ class TagspinSystem:
                 fix = locator.locate(centers, refined)
         return fix
 
+    @fix_scope()
     def locate_3d(self, batch: ReportBatch, antenna_port: int = 1) -> Fix3D:
         """Locate the reader antenna in 3D space.
 

@@ -10,7 +10,7 @@ restart-with-backoff, circuit breakers and checkpoint/restore keep
 working per shard.
 
 **Owner affinity.**  A deployment's stream buffers, validators and
-engine caches live in one worker, so every report for it must land on
+engine live in one worker, so every report for it must land on
 the worker that owns that state.  The hash route guarantees that; it is
 also why work stealing is deliberately absent.
 

@@ -109,12 +109,12 @@ class DeploymentSpec:
     Carries data, not objects-with-state: registry records and pipeline
     config are frozen dataclasses, and ``engine`` is a
     :func:`~repro.perf.engine.create_engine` name (engine *instances*
-    hold caches/pools and never cross the process boundary).
+    hold per-process state and never cross the process boundary).
 
     The ``engine`` default is the fleet's one serving engine, read by
     sharded workers, in-process actors and ``tagspin serve`` alike.
     ``"adaptive-harmonic"`` refines only the peak a fix needs, over
-    harmonic tables cached per disk geometry: end to end it serves
+    harmonic tables built once per fix: end to end it serves
     fixes several times faster than the dense engines and is the
     fastest engine on the sharded fleet (EXPERIMENTS.md, "Serving
     engine").

@@ -10,9 +10,8 @@ region narrowing):
 
 1. **Coarse pass** — evaluate a subsampled grid (``coarse_factor`` times
    sparser than requested, never below ``min_coarse_points``) through
-   the shared :class:`~repro.perf.batched.BatchedEngine`, so coarse
-   steering matrices and coarse spectra are cached across the
-   pipeline's repeated passes exactly like dense ones.
+   the dense engine, whose steering memo serves the fix's repeated
+   passes over coarse grids exactly like dense ones.
 2. **Basin selection** — keep the ``top_k`` local maxima of the coarse
    profile as candidate basins; side lobes that out-power the true peak
    at coarse resolution are refined too, so the winner is decided at
@@ -31,6 +30,9 @@ region narrowing):
 
 Per-fix cost drops from ``O(grid)`` steering columns to
 ``O(grid / coarse_factor + top_k * log_refine(coarse_step / tolerance))``.
+Finished spectra are memoized for the fix (:mod:`repro.perf.cache`): the
+pipeline's triangulation pass and the health monitor's check re-read the
+scoring pass's spectra instead of running the ladder again.
 
 Accuracy contract: the refined peak is within ``tolerance`` radians of
 the dense-grid reference peak (``tests/perf/test_adaptive_engine.py``
@@ -63,7 +65,7 @@ from repro.core.spectrum import (
 )
 from repro.obs.metrics import get_registry
 from repro.perf.batched import BatchedEngine
-from repro.perf.cache import LRUCache, quantize_array, quantize_scalar
+from repro.perf.cache import ScopedCache, quantize_array, quantize_scalar
 from repro.perf.engine import SpectrumEngine
 from repro.perf.steering import grid_key, series_geometry_key
 
@@ -106,9 +108,6 @@ MIN_COARSE_AZIMUTH_POINTS = 24
 #: Coarse grids are never subsampled below this many polar points.
 MIN_COARSE_POLAR_POINTS = 9
 
-#: Default budget of the finished-spectrum cache [float elements].
-DEFAULT_ADAPTIVE_SPECTRUM_BUDGET = 4_000_000
-
 
 @lru_cache(maxsize=16)
 def _refine_offsets(refine_factor: int) -> np.ndarray:
@@ -143,11 +142,7 @@ class AdaptiveEngine(SpectrumEngine):
         :class:`~repro.perf.harmonic.HarmonicEngine` to get
         ``create_engine("adaptive-harmonic")``'s composition, whose
         coarse full-circle grids stay on the FFT path via exact alias
-        folding).  Any engine exposing the ``_joint_power`` hook works;
-        its caches make repeated fixes over an unchanged buffer nearly
-        free.
-    spectrum_budget : float-element budget of the finished adaptive
-        spectrum cache.
+        folding).  Any engine exposing the ``_joint_power`` hook works.
     """
 
     name = "adaptive"
@@ -161,7 +156,6 @@ class AdaptiveEngine(SpectrumEngine):
         min_sharpness: float = DEFAULT_MIN_SHARPNESS,
         basin_prune: float = DEFAULT_BASIN_PRUNE,
         dense: Optional[SpectrumEngine] = None,
-        spectrum_budget: int = DEFAULT_ADAPTIVE_SPECTRUM_BUDGET,
     ) -> None:
         if not np.isfinite(tolerance) or tolerance <= 0:
             raise ValueError("tolerance must be positive and finite")
@@ -180,7 +174,7 @@ class AdaptiveEngine(SpectrumEngine):
         self.refine_factor = int(refine_factor)
         self.min_sharpness = float(min_sharpness)
         self._dense = dense if dense is not None else BatchedEngine()
-        self._spectra = LRUCache(spectrum_budget)
+        self._spectra = ScopedCache()
         self._offsets = _refine_offsets(self.refine_factor)
         self.dense_fallbacks = 0
         self.refinements = 0
@@ -474,7 +468,7 @@ class AdaptiveEngine(SpectrumEngine):
                 spectrum = AngleSpectrum(
                     coarse.azimuth_grid, coarse.power, peak_azimuth, peak_power
                 )
-        self._spectra.put(cache_key, spectrum, cost=spectrum.power.size)
+        self._spectra.put(cache_key, spectrum)
         return spectrum
 
     def _dense_fused(
@@ -567,7 +561,7 @@ class AdaptiveEngine(SpectrumEngine):
                     peak_polar=peak_polar,
                     peak_power=peak_power,
                 )
-        self._spectra.put(cache_key, spectrum, cost=spectrum.power.size)
+        self._spectra.put(cache_key, spectrum)
         return spectrum
 
     def fused_joint_spectrum(
@@ -671,7 +665,7 @@ class AdaptiveEngine(SpectrumEngine):
                     peak_polar=peak_polar,
                     peak_power=peak_power,
                 )
-        self._spectra.put(cache_key, spectrum, cost=spectrum.power.size)
+        self._spectra.put(cache_key, spectrum)
         return spectrum
 
     # ------------------------------------------------------------------
@@ -685,10 +679,6 @@ class AdaptiveEngine(SpectrumEngine):
             "dense_fallbacks": self.dense_fallbacks,
         }
         return stats
-
-    def clear_caches(self) -> None:
-        self._spectra.clear()
-        self._dense.clear_caches()
 
     def close(self) -> None:
         self._dense.close()

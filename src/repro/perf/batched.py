@@ -1,4 +1,4 @@
-"""Batched spectrum engine: cached steering, whole-grid vectorized power.
+"""Batched spectrum engine: memoized steering, whole-grid vectorized power.
 
 The reference path rebuilds the steering geometry on every call and walks
 the joint (polar x azimuth) grid in small fixed chunks
@@ -8,14 +8,15 @@ the joint (polar x azimuth) grid in small fixed chunks
   back to budget-sized polar blocks only when the full block would exceed
   ``max_block_elements`` (the configurable replacement for the fixed
   chunk loop);
-* caches steering matrices keyed on quantized series geometry + grid, so
-  the pipeline's repeated passes over the same series (quality scoring,
-  triangulation, the orientation-corrected refinement, the R-to-Q
-  fallback) and repeated fixes over an unchanged buffer skip the
+* memoizes steering matrices keyed on quantized series geometry + grid
+  for the fix (:mod:`repro.perf.cache`), so the pipeline's repeated
+  passes over the same series (quality scoring, triangulation, the
+  orientation-corrected refinement, the R-to-Q fallback) skip the
   trigonometric rebuild;
-* caches wrapped residual matrices keyed on (steering, measured phases),
-  so switching profiles (R to Q) over the same measurements reuses them;
-* caches finished spectra, so evaluating the same series/grid/profile
+* memoizes wrapped residual matrices keyed on (steering, measured
+  phases), so switching profiles (R to Q) over the same measurements
+  reuses them;
+* memoizes finished spectra, so evaluating the same series/grid/profile
   twice — which the diagnosed pipeline does on every fix — is free.
 
 Equivalence guarantee: every arithmetic step is the reference
@@ -44,16 +45,9 @@ from repro.core.spectrum import (
     _refine_peak_circular,
     power_from_residuals,
 )
-from repro.perf.cache import LRUCache, quantize_array, quantize_scalar
+from repro.perf.cache import ScopedCache, quantize_array, quantize_scalar
 from repro.perf.engine import SpectrumEngine
-from repro.perf.steering import DEFAULT_STEERING_BUDGET, SteeringCache
-
-#: Default residual-cache budget [float64 elements].
-DEFAULT_RESIDUAL_BUDGET = 32_000_000
-
-#: Default spectrum-cache budget [float64 elements].  Finished spectra
-#: are small (one power value per grid point), so this holds thousands.
-DEFAULT_SPECTRUM_BUDGET = 8_000_000
+from repro.perf.steering import SteeringCache
 
 #: Default cap on any single vectorized block [float64 elements];
 #: 8M elements keep complex temporaries around 128 MB.
@@ -67,30 +61,24 @@ DEFAULT_POWER_BLOCK_ELEMENTS = 262_144
 
 
 class BatchedEngine(SpectrumEngine):
-    """Vectorized spectrum engine with steering/residual/spectrum caches.
+    """Vectorized spectrum engine with steering/residual/spectrum memos.
 
     Parameters
     ----------
-    steering_budget : total float elements of cached steering matrices.
-    residual_budget : total float elements of cached residual matrices.
-    spectrum_budget : total float elements of cached finished spectra.
     max_block_elements : memory budget of one vectorized evaluation
         block; grids whose full (polar x azimuth x snapshot) block
         exceeds it are streamed in budget-sized polar row blocks
         (uncached) instead.
     power_block_elements : locality budget of one power-kernel call;
-        the kernel walks cached steering/residual matrices in row
-        blocks of at most this many elements so its complex
-        temporaries stay cache-resident.
+        the kernel walks steering/residual matrices in row blocks of at
+        most this many elements so its complex temporaries stay
+        cache-resident.
     """
 
     name = "batched"
 
     def __init__(
         self,
-        steering_budget: int = DEFAULT_STEERING_BUDGET,
-        residual_budget: int = DEFAULT_RESIDUAL_BUDGET,
-        spectrum_budget: int = DEFAULT_SPECTRUM_BUDGET,
         max_block_elements: int = DEFAULT_BLOCK_ELEMENTS,
         power_block_elements: int = DEFAULT_POWER_BLOCK_ELEMENTS,
     ) -> None:
@@ -100,9 +88,9 @@ class BatchedEngine(SpectrumEngine):
             raise ValueError("power_block_elements must be positive")
         self.max_block_elements = max_block_elements
         self.power_block_elements = power_block_elements
-        self._steering = SteeringCache(steering_budget, max_block_elements)
-        self._residuals_cache = LRUCache(residual_budget)
-        self._spectra = LRUCache(spectrum_budget)
+        self._steering = SteeringCache(max_block_elements)
+        self._residuals_cache = ScopedCache()
+        self._spectra = ScopedCache()
 
     # ------------------------------------------------------------------
     # Cached building blocks
@@ -131,7 +119,7 @@ class BatchedEngine(SpectrumEngine):
             dtype=float,
         )
         residuals.setflags(write=False)
-        self._residuals_cache.put(key, residuals, cost=residuals.size)
+        self._residuals_cache.put(key, residuals)
         return residuals
 
     def _blocked_power(
@@ -220,7 +208,7 @@ class BatchedEngine(SpectrumEngine):
         peak_azimuth, peak_power = _refine_peak_circular(grid, power)
         power.setflags(write=False)
         spectrum = AngleSpectrum(grid, power, peak_azimuth, peak_power)
-        self._spectra.put(spectrum_key, spectrum, cost=power.size)
+        self._spectra.put(spectrum_key, spectrum)
         return spectrum
 
     def joint_spectrum(
@@ -248,9 +236,7 @@ class BatchedEngine(SpectrumEngine):
             series, azimuths, polars, sigma, power_fn=self._joint_power
         )
         spectrum.power.setflags(write=False)
-        self._spectra.put(
-            spectrum_key, spectrum, cost=spectrum.power.size
-        )
+        self._spectra.put(spectrum_key, spectrum)
         return spectrum
 
     # ------------------------------------------------------------------
@@ -262,8 +248,3 @@ class BatchedEngine(SpectrumEngine):
             "residuals": self._residuals_cache.stats.as_dict(),
             "spectra": self._spectra.stats.as_dict(),
         }
-
-    def clear_caches(self) -> None:
-        self._steering.clear()
-        self._residuals_cache.clear()
-        self._spectra.clear()

@@ -2,8 +2,7 @@
 
 Builds a synthetic multi-disk deployment — ``disks x antennas x
 channels`` independent snapshot series — and times each spectrum engine
-over the *fix workload* the real pipeline executes per localization on
-an unchanged buffer:
+over the *fix workload* the real pipeline executes per localization:
 
 1. disk-quality scoring pass (enhanced profile R per series),
 2. triangulation pass (identical spectra — the diagnosed pipeline
@@ -11,10 +10,11 @@ an unchanged buffer:
 3. orientation-corrected refinement pass (same geometry, new phases),
 4. R-to-Q fallback pass over the corrected series.
 
-Polling a live deployment repeats this fix ``rounds`` times between
-buffer updates, which is where the batched engine's caches pay off; the
-reference engine recomputes everything every time.  Every run first
-verifies the candidate engine against the reference on sample series, so
+Each of the ``rounds`` fixes runs in its own fix scope
+(:func:`~repro.perf.cache.fix_scope`), as a served fix does: an engine's
+memo serves the passes inside one fix and is dropped after it, so every
+round starts cold.  Every run first verifies the candidate engine
+against the reference on sample series, so
 a speedup can never come from wrong spectra: dense engines must match
 within ``1e-9`` in both power and peak, while the adaptive engine is
 held to its configured angular ``tolerance`` on the peak (its power
@@ -35,6 +35,7 @@ import numpy as np
 from repro.constants import channel_frequencies, wavelength_for_frequency
 from repro.core.phase import theoretical_phase, wrap_phase_signed
 from repro.core.spectrum import SnapshotSeries, default_azimuth_grid
+from repro.perf.cache import fix_scope
 from repro.perf.engine import ReferenceEngine, SpectrumEngine, create_engine
 
 #: Gaussian weight width used by the benchmark's enhanced profile.
@@ -189,11 +190,12 @@ def run_fix(
     grid: np.ndarray,
     sigma: float = BENCH_SIGMA,
 ) -> None:
-    """One localization fix's worth of spectrum evaluations."""
-    engine.azimuth_spectra(series_list, grid, sigma=sigma)  # scoring
-    engine.azimuth_spectra(series_list, grid, sigma=sigma)  # triangulation
-    engine.azimuth_spectra(corrected_list, grid, sigma=sigma)  # refinement
-    engine.azimuth_spectra(corrected_list, grid, sigma=None)  # R->Q fallback
+    """One localization fix's worth of spectrum evaluations, in one scope."""
+    with fix_scope():
+        engine.azimuth_spectra(series_list, grid, sigma=sigma)  # scoring
+        engine.azimuth_spectra(series_list, grid, sigma=sigma)  # triangulation
+        engine.azimuth_spectra(corrected_list, grid, sigma=sigma)  # refinement
+        engine.azimuth_spectra(corrected_list, grid, sigma=None)  # R->Q fallback
 
 
 def _angular_difference(a: float, b: float) -> float:
@@ -268,8 +270,7 @@ def run_scenario(
     reference_total: Optional[float] = None
     for name in engines:
         # Verify on a throwaway instance so the timed engine starts with
-        # cold caches — a speedup must never come from wrong spectra OR
-        # from pre-warmed state.
+        # fresh counters — a speedup must never come from wrong spectra.
         check_engine = _engine_for(name, tolerance)
         angular_budget = float(
             getattr(check_engine, "tolerance", DENSE_ERROR_BUDGET)

@@ -1,26 +1,39 @@
-"""Cost-bounded LRU caching with quantized float keys.
+"""Fix-scoped memo of spectrum-engine intermediates.
 
-The batched spectrum engine caches steering matrices and whole spectra.
-Both are keyed on floating-point inputs (grids, timestamps, wavelengths)
-that may be *recomputed* between fixes rather than object-identical, so
-keys quantize every float to a fixed number of decimals: two inputs that
-agree to ``1e-12`` hash to the same bucket and share one cached entry.
-The quantum sits three orders of magnitude below the engine's ``1e-9``
-equivalence budget, so a collision can never move a spectrum outside the
-guaranteed tolerance.
+One Tagspin fix evaluates spectra of the same snapshot series several
+times: the disk-quality scoring pass, the triangulation pass, the
+orientation-corrected refinement (same geometry, new phases), the R-to-Q
+fallback and the health monitor's check.  Engines memoize what those
+passes share (steering phasors, coefficient tables, residuals, finished
+spectra), but every entry is keyed on the fix's own sample times, which
+change with every report appended, so no later fix can read it.  The
+memo therefore lives for one *fix scope*:
 
-Steering matrices can be large (a joint grid is ``n_polar x n_azimuth x
-n_snapshots`` floats), so the LRU is bounded by total *cost* (element
-count) rather than entry count: inserting a big matrix evicts as many
-least-recently-used entries as needed to stay under budget.
+* :func:`fix_scope` opens a scope on the calling thread; scopes opened
+  inside it join it, and closing the outermost one drops every entry;
+* a :class:`ScopedCache` is one named table of an engine: its entries
+  live in the open scope, its hit/miss counters on the engine, so
+  ``cache_stats()`` stays cumulative across fixes;
+* outside any scope every lookup misses and nothing is kept.
+
+Scopes are thread-local, so fixes on different threads never share or
+drop each other's memo.
+
+Keys are values, not object identity: the health monitor re-extracts the
+series of the fix it checks as new objects with equal values, and the
+pipeline rebuilds its candidate grids per call.  Keys quantize every
+float to a fixed number of decimals, so two inputs that agree to
+``1e-12`` share one entry.  The quantum sits three orders of magnitude
+below the engines' ``1e-9`` equivalence budget, so a collision can never
+move a spectrum outside the guaranteed tolerance.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Hashable, Iterator, Optional
 
 import numpy as np
 
@@ -41,15 +54,32 @@ def quantize_array(values: np.ndarray) -> bytes:
     return rounded.tobytes()
 
 
+#: The open scope of each thread: one entry table per ScopedCache.
+_scopes = threading.local()
+
+
+@contextmanager
+def fix_scope() -> Iterator[None]:
+    """Keep engine intermediates until the outermost scope closes.
+
+    Usable as ``with fix_scope():`` or as a ``@fix_scope()`` decorator.
+    """
+    if getattr(_scopes, "tables", None) is not None:
+        yield
+        return
+    _scopes.tables = {}
+    try:
+        yield
+    finally:
+        _scopes.tables = None
+
+
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters of one cache."""
+    """Cumulative hit/miss counters of one cache."""
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
-    cost: int = 0
-    entries: int = 0
 
     @property
     def hit_ratio(self) -> float:
@@ -60,80 +90,45 @@ class CacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
-            "cost": self.cost,
-            "entries": self.entries,
             "hit_ratio": self.hit_ratio,
         }
 
 
-class LRUCache:
-    """Thread-safe LRU cache bounded by total entry cost.
+class ScopedCache:
+    """One memo table whose entries live in the calling thread's scope."""
 
-    Parameters
-    ----------
-    max_cost : total cost budget (e.g. float elements across all cached
-        arrays).  An entry whose own cost exceeds the budget is simply not
-        cached — the caller still gets its computed value.
-    """
-
-    def __init__(self, max_cost: int) -> None:
-        if max_cost < 0:
-            raise ValueError("max_cost must be non-negative")
-        self.max_cost = max_cost
-        self._entries: "OrderedDict[Hashable, Tuple[Any, int]]" = OrderedDict()
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        self._evictions = 0
-        self._cost = 0
+
+    def _table(self) -> Optional[dict]:
+        tables = getattr(_scopes, "tables", None)
+        if tables is None:
+            return None
+        table = tables.get(self)
+        if table is None:
+            table = tables[self] = {}
+        return table
 
     def get(self, key: Hashable) -> Optional[Any]:
-        """Return the cached value or ``None``, updating recency."""
+        """The entry of the open scope, or ``None``."""
+        table = self._table()
+        value = None if table is None else table.get(key)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            if value is None:
                 self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry[0]
+            else:
+                self._hits += 1
+        return value
 
-    def put(self, key: Hashable, value: Any, cost: int = 1) -> None:
-        """Insert ``value``, evicting LRU entries to respect the budget."""
-        if cost > self.max_cost:
-            return
-        with self._lock:
-            if key in self._entries:
-                _, old_cost = self._entries.pop(key)
-                self._cost -= old_cost
-            self._entries[key] = (value, cost)
-            self._cost += cost
-            while self._cost > self.max_cost:
-                _, (_, evicted_cost) = self._entries.popitem(last=False)
-                self._cost -= evicted_cost
-                self._evictions += 1
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._cost = 0
+    def put(self, key: Hashable, value: Any) -> None:
+        """Keep ``value`` until the open scope closes (no-op outside one)."""
+        table = self._table()
+        if table is not None:
+            table[key] = value
 
     @property
     def stats(self) -> CacheStats:
         with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                cost=self._cost,
-                entries=len(self._entries),
-            )
+            return CacheStats(hits=self._hits, misses=self._misses)

@@ -9,14 +9,18 @@ coarse-to-fine search — is swappable without touching the pipeline:
 * :class:`ReferenceEngine` delegates to the original
   :mod:`repro.core.spectrum` functions and is the correctness baseline.
 * :class:`~repro.perf.batched.BatchedEngine` evaluates whole candidate
-  grids in single vectorized passes under a memory budget and caches
+  grids in single vectorized passes under a memory budget and memoizes
   steering matrices, residuals and finished spectra.
 * :class:`~repro.perf.harmonic.HarmonicEngine` evaluates full-circle
-  grids by batched inverse FFTs of a Jacobi-Anger expansion and caches
+  grids by batched inverse FFTs of a Jacobi-Anger expansion and memoizes
   the steering phasors per geometry.
 * :class:`~repro.perf.adaptive.AdaptiveEngine` replaces dense scans with
   a coarse-to-fine basin search down to a configurable angular
   tolerance, falling back to its dense engine on flat spectra.
+
+Engines memoize only for the open fix scope
+(:func:`~repro.perf.cache.fix_scope`): every memo entry is keyed on one
+fix's sample times, so the memo is dropped when the fix ends.
 
 ``sigma=None`` selects the traditional profile ``Q``; a positive
 ``sigma`` selects the enhanced profile ``R`` with that weight width.
@@ -127,7 +131,7 @@ class SpectrumEngine:
         This is the pipeline's multi-disk scoring shape: every disk
         contributes one group of per-channel series and wants one fused
         spectrum back.  The default fuses each group independently;
-        engines with cross-fix batching (the harmonic engine) override
+        engines that batch across series (the harmonic engine) override
         this so all groups' grids land in one stacked evaluation.
         """
         return [
@@ -156,7 +160,7 @@ class SpectrumEngine:
         )
 
     def cache_stats(self) -> dict:
-        """Per-cache counters; empty for cacheless engines."""
+        """Cumulative per-memo counters; empty for memo-less engines."""
         return {}
 
     def close(self) -> None:
@@ -214,7 +218,7 @@ def create_engine(
     """Resolve an ``engine=`` argument into a :class:`SpectrumEngine`.
 
     ``None`` and ``"reference"`` give the reference engine, ``"batched"``
-    the cached vectorized engine, ``"harmonic"`` the Jacobi-Anger/FFT
+    the memoizing vectorized engine, ``"harmonic"`` the Jacobi-Anger/FFT
     engine, ``"adaptive"`` the coarse-to-fine solver over a batched
     dense stage and ``"adaptive-harmonic"`` the same solver with the
     harmonic engine as its dense stage.  Instances pass through
@@ -269,7 +273,7 @@ def create_engine(
 def merge_cache_stats(stats_dicts: Sequence[dict]) -> dict:
     """Fold per-process ``cache_stats()`` dicts into fleet-wide totals.
 
-    The sharded fleet's worker processes each hold their own cache
+    The sharded fleet's worker processes each hold their own memo
     counters; benchmarks that read only the parent's engine report
     zeros.  This merges any number of snapshots:
 

@@ -16,13 +16,13 @@ grid of ``M`` azimuths the whole steering-phasor matrix ``S[i, k] =
 exp(-1j c_i(phi_k))`` is then one batch of length-``M`` inverse FFTs of
 the folded coefficient table — O(snapshots * H + grid log grid) instead
 of the dense engines' O(grid * snapshots) trigonometric steering
-product.  ``S`` is measured-phase-independent, so it is LRU-cached per
-(series geometry, grid) — the harmonic analogue of the batched engine's
-steering cache — and a re-fix against new phases over the same geometry
-(the pipeline's orientation-corrected second pass) costs no FFT at all:
+product.  ``S`` is measured-phase-independent, so it is memoized per
+(series geometry, grid) for the fix (:mod:`repro.perf.cache`) — the
+harmonic analogue of the batched engine's steering memo — and the fix's
+orientation-corrected pass (same geometry, new phases) costs no FFT:
 
 * **Q profile** — ``|phasor @ S| / N`` with ``phasor = exp(1j m)``: a
-  single BLAS vector-matrix product on a cache hit, a single-row FFT of
+  single BLAS vector-matrix product on a memo hit, a single-row FFT of
   the phasor-weighted coefficient sums on a miss.
 * **R profile** — the Gaussian weights need per-snapshot residuals;
   the *centered* residuals are built directly in fractional turns by a
@@ -48,10 +48,10 @@ relative tails below ~1e-13; end to end the profiles agree with the
 reference within ~1e-11, inside the 1e-9 dense budgets
 (``tolerance`` / ``power_budget`` below, enforced by ``tests/perf``).
 
-Cross-fix batching: :meth:`HarmonicEngine.evaluate_many` stacks every
-series whose steering phasors are not yet cached into shared inverse-FFT
-chunks (bounded by ``fft_block_elements``; one giant pass thrashes
-caches), and :meth:`fused_azimuth_spectra` exposes that to the
+Cross-series batching: :meth:`HarmonicEngine.evaluate_many` stacks every
+series whose steering phasors the fix has not built yet into shared
+inverse-FFT chunks (bounded by ``fft_block_elements``; one giant pass
+thrashes caches), and :meth:`fused_azimuth_spectra` exposes that to the
 pipeline's multi-disk scoring loop.  The adaptive engine composes too:
 its coarse grids are strided views of full-circle grids, which stay
 uniform-circular, and the coefficient fold keeps aliased small grids
@@ -61,6 +61,7 @@ exact — pass ``dense=HarmonicEngine()`` (or use
 
 from __future__ import annotations
 
+import threading
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,7 +80,7 @@ from repro.core.spectrum import (
 )
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, get_registry
 from repro.obs.trace import get_tracer
-from repro.perf.cache import LRUCache, quantize_array, quantize_scalar
+from repro.perf.cache import ScopedCache
 from repro.perf.engine import SpectrumEngine
 from repro.perf.steering import grid_key, series_geometry_key
 
@@ -99,26 +100,34 @@ DEFAULT_MAX_ORDER = 4096
 #: this budget.
 DEFAULT_FFT_BLOCK_ELEMENTS = 1_000_000
 
-#: Default budget of cached steering-phasor matrices, in *real* elements
-#: (a complex entry counts twice).  The bench's medium scenario needs
-#: ~11M to keep all 64 links resident.
-DEFAULT_STEERING_BUDGET = 16_000_000
-
-#: Default budget of cached per-geometry coefficient tables [elements].
-DEFAULT_GEOMETRY_BUDGET = 8_000_000
-
-#: Default budget of cached finished spectra [elements].
-DEFAULT_SPECTRUM_BUDGET = 8_000_000
-
-#: Default budget of cached complex column sums (free Q-after-R) [elements].
-DEFAULT_ROWSUM_BUDGET = 2_000_000
-
-#: Default budget of cached per-grid cos/sin tables [elements].
-DEFAULT_GRID_BUDGET = 1_000_000
-
 #: Azimuth grids smaller than this use the dense path outright: the FFT
 #: machinery only pays for itself on dense grids.
 MIN_FFT_GRID_POINTS = 32
+
+#: Per-thread work arrays of :func:`harmonic_accumulate`.  They carry no
+#: values from one call to the next, only touched pages: a freshly
+#: allocated pair costs more in first-touch page faults than the
+#: accumulate itself (~1 ms against ~0.3 ms on a 400 x 90 block), so each
+#: thread keeps one pair, grown by doubling to the largest block it met
+#: up to one FFT chunk (``DEFAULT_FFT_BLOCK_ELEMENTS``, 32 MB a pair).
+_workspace = threading.local()
+
+
+def _work_arrays(shape: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(work, cwork)`` scratch views for one ``(snapshots, grid)`` block."""
+    size = shape[0] * shape[1]
+    if size > DEFAULT_FFT_BLOCK_ELEMENTS:
+        return np.empty((2,) + tuple(shape)), np.empty(shape, np.complex128)
+    cwork = getattr(_workspace, "cwork", None)
+    if cwork is None or cwork.size < size:
+        grown = max(size, 0 if cwork is None else 2 * cwork.size)
+        grown = min(grown, DEFAULT_FFT_BLOCK_ELEMENTS)
+        cwork = _workspace.cwork = np.empty(grown, dtype=np.complex128)
+        _workspace.work = np.empty(2 * grown)
+    return (
+        _workspace.work[: 2 * size].reshape((2,) + tuple(shape)),
+        cwork[:size].reshape(shape),
+    )
 
 
 def harmonic_order(rho_max: float, margin: int = 0) -> int:
@@ -195,7 +204,7 @@ class _HarmonicTables:
     ``J_n(rho_i) * exp(-1j n (pi/2 - beta_i)) = conj(pos) * (-1)^n``.
     """
 
-    __slots__ = ("A", "B", "coefficients", "order", "pos", "neg", "cost")
+    __slots__ = ("A", "B", "coefficients", "order", "pos", "neg")
 
     def __init__(self, A: np.ndarray, B: np.ndarray, order: int) -> None:
         rho = np.hypot(A, B)
@@ -214,7 +223,6 @@ class _HarmonicTables:
         self.pos = bessel * phase
         alternating = np.where(steps.astype(np.int64) % 2 == 0, 1.0, -1.0)
         self.neg = np.conj(self.pos) * alternating
-        self.cost = 4 * self.pos.size + 4 * A.size
 
 
 def _scatter_band(
@@ -282,8 +290,8 @@ def harmonic_accumulate(
     ``(2, snapshots, grid)``) and ``cwork`` (complex, ``(snapshots,
     grid)``) may supply scratch to eliminate the large temporaries.
     Returns ``(power, colsum)`` where ``colsum`` holds the complex
-    per-column totals of ``phasor[:, None] * S`` (reused by the engine
-    as a free Q profile over the same series and grid).
+    per-column totals of ``phasor[:, None] * S`` (the coherent Q sum,
+    whose phase centers the R weights).
     """
     if sigma is not None and sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -345,10 +353,10 @@ class HarmonicEngine(SpectrumEngine):
         truncation — the accuracy knob; the default already targets
         ~1e-13 tails.
     max_order : truncation orders beyond this take the dense path.
-    steering_budget, geometry_budget, spectrum_budget, rowsum_budget,
-        grid_budget : element budgets of the steering-phasor /
-        coefficient / finished-spectrum / column-sum / grid-trig caches.
     fft_block_elements : complex elements per stacked FFT chunk.
+
+    Steering phasors and coefficient tables are memoized for the open
+    fix scope (:mod:`repro.perf.cache`).
     """
 
     name = "harmonic"
@@ -364,11 +372,6 @@ class HarmonicEngine(SpectrumEngine):
         self,
         order_margin: int = 0,
         max_order: int = DEFAULT_MAX_ORDER,
-        steering_budget: int = DEFAULT_STEERING_BUDGET,
-        geometry_budget: int = DEFAULT_GEOMETRY_BUDGET,
-        spectrum_budget: int = DEFAULT_SPECTRUM_BUDGET,
-        rowsum_budget: int = DEFAULT_ROWSUM_BUDGET,
-        grid_budget: int = DEFAULT_GRID_BUDGET,
         fft_block_elements: int = DEFAULT_FFT_BLOCK_ELEMENTS,
     ) -> None:
         if order_margin < 0:
@@ -380,13 +383,8 @@ class HarmonicEngine(SpectrumEngine):
         self.order_margin = int(order_margin)
         self.max_order = int(max_order)
         self.fft_block_elements = int(fft_block_elements)
-        self._key_memo: dict = {}
-        self._scratch: dict = {}
-        self._steering = LRUCache(steering_budget)
-        self._geometry = LRUCache(geometry_budget)
-        self._spectra = LRUCache(spectrum_budget)
-        self._rowsums = LRUCache(rowsum_budget)
-        self._grids = LRUCache(grid_budget)
+        self._steering = ScopedCache()
+        self._geometry = ScopedCache()
         self.fft_batches = 0
         self.dense_fallbacks = 0
         self._order_count = 0
@@ -413,37 +411,6 @@ class HarmonicEngine(SpectrumEngine):
             buckets=DEFAULT_COUNT_BUCKETS,
         ).observe(order)
 
-    def _series_keys(
-        self, series: SnapshotSeries
-    ) -> Tuple[Hashable, Hashable]:
-        """(geometry_key, measured_key) memoized by object identity.
-
-        Key quantization walks every float of the series; the pipeline
-        and bench reuse the same series objects across passes, so an
-        identity memo (holding a strong reference, which pins the id)
-        amortizes it to once per object.
-        """
-        entry = self._key_memo.get(id(series))
-        if entry is not None and entry[0] is series:
-            return entry[1], entry[2]
-        geometry = series_geometry_key(series)
-        measured = quantize_array(series.phases)
-        if len(self._key_memo) >= 8192:
-            self._key_memo.clear()
-        self._key_memo[id(series)] = (series, geometry, measured)
-        return geometry, measured
-
-    def _scratch_buffer(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """Reusable work array (allocation churn shows up at this scale)."""
-        key = (name, shape, np.dtype(dtype).str)
-        buffer = self._scratch.get(key)
-        if buffer is None:
-            buffer = np.empty(shape, dtype=dtype)
-            if len(self._scratch) >= 16:
-                self._scratch.clear()
-            self._scratch[key] = buffer
-        return buffer
-
     def _tables(
         self, series: SnapshotSeries
     ) -> Tuple[Hashable, Optional[_HarmonicTables]]:
@@ -452,36 +419,27 @@ class HarmonicEngine(SpectrumEngine):
         Returns ``(geometry_key, tables)``; ``tables`` is ``None`` when
         the adaptive order exceeds ``max_order`` (dense fallback).
         """
-        key = self._series_keys(series)[0]
+        key = series_geometry_key(series)
         cached = self._geometry.get(key)
         if cached is not None:
             return key, cached[0]
         A, B = harmonic_coefficients(series)
         order = harmonic_order(float(np.max(np.hypot(A, B))), self.order_margin)
         if order > self.max_order:
-            self._geometry.put(key, (None,), cost=1)
+            self._geometry.put(key, (None,))
             return key, None
         tables = _HarmonicTables(A, B, order)
         self._record_order(order)
-        self._geometry.put(key, (tables,), cost=tables.cost)
+        self._geometry.put(key, (tables,))
         return key, tables
 
-    def _grid_trig(self, grid: np.ndarray) -> Tuple[Hashable, np.ndarray]:
-        """``(grid_key, trig)`` with ``trig`` the (2, M) cos/sin stack."""
-        key = grid_key(grid, 0.0)
-        cached = self._grids.get(key)
-        if cached is not None:
-            return key, cached
+    @staticmethod
+    def _grid_trig(grid: np.ndarray) -> np.ndarray:
+        """The (2, M) cos/sin stack of an azimuth grid."""
         trig = np.empty((2, grid.size))
         np.cos(grid, out=trig[0])
         np.sin(grid, out=trig[1])
-        trig.setflags(write=False)
-        self._grids.put(key, trig, cost=trig.size)
-        return key, trig
-
-    @staticmethod
-    def _sigma_key(sigma: Optional[float]) -> Hashable:
-        return None if sigma is None else quantize_scalar(sigma)
+        return trig
 
     # ------------------------------------------------------------------
     # Dense (non-circular-grid) fallback: rank-2 steering, exact kernel
@@ -531,12 +489,7 @@ class HarmonicEngine(SpectrumEngine):
     ) -> Tuple[np.ndarray, np.ndarray]:
         work = cwork = None
         if sigma is not None:
-            work = self._scratch_buffer(
-                "work", (2,) + steering.shape, np.float64
-            )
-            cwork = self._scratch_buffer(
-                "cwork", steering.shape, np.complex128
-            )
+            work, cwork = _work_arrays(steering.shape)
         return harmonic_accumulate(
             phasor,
             steering,
@@ -575,7 +528,7 @@ class HarmonicEngine(SpectrumEngine):
     ) -> List[AngleSpectrum]:
         """One fused spectrum per link group, all grids in batched FFTs.
 
-        This is the cross-fix entry point of the pipeline's multi-disk
+        This is the batched entry point of the pipeline's multi-disk
         scoring loop: every disk's every channel lands in the same
         stacked evaluation instead of per-series sweeps.
         """
@@ -597,8 +550,8 @@ class HarmonicEngine(SpectrumEngine):
     ) -> List[AngleSpectrum]:
         """Azimuth spectra of many series over one grid, FFTs batched.
 
-        The cross-fix batched entry point: every series whose steering
-        phasors are not yet cached contributes its coefficient rows to
+        The batched entry point: every series whose steering phasors the
+        fix has not built yet contributes its coefficient rows to
         stacked inverse-FFT chunks (bounded by ``fft_block_elements``),
         then per-series accumulation produces the profiles.  Results are
         identical to per-series evaluation; only the FFT batching
@@ -612,167 +565,94 @@ class HarmonicEngine(SpectrumEngine):
             series=len(series_list),
             grid=int(grid.size),
         ) as span:
-            sigma_key = self._sigma_key(sigma)
-            results: List[Optional[AngleSpectrum]] = [None] * len(
-                series_list
-            )
-            pending: List[int] = []
-            keys: List[Optional[Tuple[Hashable, ...]]] = [None] * len(
-                series_list
-            )
-            gkey = grid_key(grid, 0.0)
-            for index, series in enumerate(series_list):
+            for series in series_list:
                 _check_series(series)
-                geom_key, measured_key = self._series_keys(series)
-                spectrum_key = (
-                    "azimuth",
-                    geom_key,
-                    gkey,
-                    measured_key,
-                    sigma_key,
-                )
-                keys[index] = spectrum_key
-                cached = self._spectra.get(spectrum_key)
-                if cached is not None:
-                    results[index] = cached
-                else:
-                    pending.append(index)
-            span.annotate(
-                spectrum_hits=len(series_list) - len(pending),
-                spectrum_misses=len(pending),
-            )
-            if not pending:
-                return results  # type: ignore[return-value]
-
             layout = _circular_layout(grid)
             if layout is None:
                 span.annotate(path="dense")
-                for index in pending:
-                    series = series_list[index]
-                    power = self._dense_azimuth_power(series, grid, sigma)
-                    results[index] = self._finish_azimuth(
-                        keys[index], grid, power
-                    )
-                return results  # type: ignore[return-value]
-
-            start, points = layout
-            if sigma is None:
-                self._evaluate_q_batch(
-                    series_list, pending, results, keys, grid, start, points
-                )
+                powers = [
+                    self._dense_azimuth_power(series, grid, sigma)
+                    for series in series_list
+                ]
             else:
-                self._evaluate_r_batch(
-                    series_list,
-                    pending,
-                    results,
-                    keys,
-                    grid,
-                    start,
-                    points,
-                    sigma,
-                )
-            if self._order_count:
-                span.annotate(order_max=self._order_max)
-            return results  # type: ignore[return-value]
+                start, points = layout
+                if sigma is None:
+                    powers = self._q_powers(series_list, grid, start, points)
+                else:
+                    powers = self._r_powers(
+                        series_list, grid, start, points, sigma
+                    )
+                if self._order_count:
+                    span.annotate(order_max=self._order_max)
+            return [self._finish_azimuth(grid, power) for power in powers]
 
-    def _finish_azimuth(
-        self,
-        spectrum_key: Hashable,
-        grid: np.ndarray,
-        power: np.ndarray,
-    ) -> AngleSpectrum:
+    @staticmethod
+    def _finish_azimuth(grid: np.ndarray, power: np.ndarray) -> AngleSpectrum:
         peak_azimuth, peak_power = _refine_peak_circular(grid, power)
         power.setflags(write=False)
-        spectrum = AngleSpectrum(grid, power, peak_azimuth, peak_power)
-        self._spectra.put(spectrum_key, spectrum, cost=power.size)
-        return spectrum
+        return AngleSpectrum(grid, power, peak_azimuth, peak_power)
 
-    def _rowsum_key(self, series: SnapshotSeries, gkey: Hashable) -> Hashable:
-        geom_key, measured_key = self._series_keys(series)
-        return (geom_key, gkey, measured_key)
-
-    def _evaluate_q_batch(
+    def _q_powers(
         self,
         series_list: Sequence[SnapshotSeries],
-        pending: List[int],
-        results: List[Optional[AngleSpectrum]],
-        keys: List[Optional[Tuple[Hashable, ...]]],
         grid: np.ndarray,
         start: float,
         points: int,
-    ) -> None:
+    ) -> List[np.ndarray]:
         """Q profiles: coherent column sums, cheapest available route.
 
-        Preference order per series: a cached column sum from a prior R
-        evaluation of the same phases (free), a cached steering-phasor
-        matrix (one BLAS vector-matrix product), else one summed
-        coefficient row in a single stacked FFT.
+        Per series: the fix's memoized steering-phasor matrix (one BLAS
+        vector-matrix product), else one summed coefficient row in a
+        single stacked FFT.
         """
         gkey = grid_key(grid, 0.0)
+        powers: List[Optional[np.ndarray]] = [None] * len(series_list)
         rows: List[np.ndarray] = []
         row_owners: List[int] = []
-        for index in pending:
-            series = series_list[index]
-            rowsum = self._rowsums.get(self._rowsum_key(series, gkey))
-            if rowsum is not None:
-                power = np.abs(rowsum) / len(series)
-                results[index] = self._finish_azimuth(
-                    keys[index], grid, power
-                )
-                continue
+        for index, series in enumerate(series_list):
             geom_key, tables = self._tables(series)
             if tables is None:
-                power = self._dense_azimuth_power(series, grid, None)
-                results[index] = self._finish_azimuth(
-                    keys[index], grid, power
-                )
+                powers[index] = self._dense_azimuth_power(series, grid, None)
                 continue
             phasor = np.exp(1j * series.relative_phases())
             steering = self._steering.get((geom_key, gkey))
             if steering is not None:
-                power, _ = self._accumulate(
+                powers[index], _ = self._accumulate(
                     phasor, steering, None, None, None, None
-                )
-                results[index] = self._finish_azimuth(
-                    keys[index], grid, power
                 )
                 continue
             pos_sum = (phasor @ tables.pos)[np.newaxis, :]
             neg_sum = (phasor @ tables.neg)[np.newaxis, :]
             rows.append(_scatter_band(pos_sum, neg_sum, points, start)[0])
             row_owners.append(index)
-        if not rows:
-            return
-        self.fft_batches += 1
-        stacked = np.fft.ifft(np.asarray(rows), axis=1) * points
-        for row, index in enumerate(row_owners):
-            series = series_list[index]
-            power = np.abs(stacked[row]) / len(series)
-            results[index] = self._finish_azimuth(keys[index], grid, power)
+        if rows:
+            self.fft_batches += 1
+            stacked = np.fft.ifft(np.asarray(rows), axis=1) * points
+            for row, index in enumerate(row_owners):
+                powers[index] = np.abs(stacked[row]) / len(series_list[index])
+        return powers  # type: ignore[return-value]
 
-    def _evaluate_r_batch(
+    def _r_powers(
         self,
         series_list: Sequence[SnapshotSeries],
-        pending: List[int],
-        results: List[Optional[AngleSpectrum]],
-        keys: List[Optional[Tuple[Hashable, ...]]],
         grid: np.ndarray,
         start: float,
         points: int,
         sigma: float,
-    ) -> None:
-        """R profiles: steering phasors from cache or chunked FFTs."""
-        gkey, trig = self._grid_trig(grid)
+    ) -> List[np.ndarray]:
+        """R profiles: steering phasors from the memo or chunked FFTs."""
+        gkey = grid_key(grid, 0.0)
+        trig = self._grid_trig(grid)
         max_rows = max(1, self.fft_block_elements // max(points, 1))
+        powers: List[Optional[np.ndarray]] = [None] * len(series_list)
         chunk_meta: List[Tuple[int, _HarmonicTables, Hashable, int]] = []
         chunk_size = 0
 
         def finish(
             index: int, tables: _HarmonicTables, steering: np.ndarray
         ) -> None:
-            series = series_list[index]
-            measured = series.relative_phases()
-            power, colsum = self._accumulate(
+            measured = series_list[index].relative_phases()
+            powers[index], _ = self._accumulate(
                 np.exp(1j * measured),
                 steering,
                 tables.coefficients,
@@ -780,10 +660,6 @@ class HarmonicEngine(SpectrumEngine):
                 measured,
                 sigma,
             )
-            self._rowsums.put(
-                self._rowsum_key(series, gkey), colsum, cost=2 * colsum.size
-            )
-            results[index] = self._finish_azimuth(keys[index], grid, power)
 
         def flush() -> None:
             nonlocal chunk_meta, chunk_size
@@ -808,21 +684,15 @@ class HarmonicEngine(SpectrumEngine):
                 steering = stacked[offset : offset + count]
                 offset += count
                 steering.setflags(write=False)
-                self._steering.put(
-                    steering_key, steering, cost=2 * steering.size
-                )
+                self._steering.put(steering_key, steering)
                 finish(index, tables, steering)
             chunk_meta = []
             chunk_size = 0
 
-        for index in pending:
-            series = series_list[index]
+        for index, series in enumerate(series_list):
             geom_key, tables = self._tables(series)
             if tables is None:
-                power = self._dense_azimuth_power(series, grid, sigma)
-                results[index] = self._finish_azimuth(
-                    keys[index], grid, power
-                )
+                powers[index] = self._dense_azimuth_power(series, grid, sigma)
                 continue
             steering_key = (geom_key, gkey)
             steering = self._steering.get(steering_key)
@@ -834,6 +704,7 @@ class HarmonicEngine(SpectrumEngine):
             if chunk_size >= max_rows:
                 flush()
         flush()
+        return powers  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # SpectrumEngine interface: joint
@@ -870,7 +741,7 @@ class HarmonicEngine(SpectrumEngine):
         start, points = layout
         measured = series.relative_phases()
         phasor = np.exp(1j * measured)
-        _, trig = self._grid_trig(azimuths)
+        trig = self._grid_trig(azimuths)
         rho_max = float(np.max(np.hypot(base.A, base.B)))
         power = np.empty((polars.size, azimuths.size))
         # Group rows by |cos(polar)| so each magnitude builds one table;
@@ -926,28 +797,18 @@ class HarmonicEngine(SpectrumEngine):
         _check_series(series)
         if sigma is not None and sigma <= 0:
             raise ValueError("sigma must be positive")
-        azimuths = np.asarray(azimuth_grid, dtype=float)
-        polars = np.asarray(polar_grid, dtype=float)
-        geom_key, measured_key = self._series_keys(series)
-        spectrum_key = (
-            "joint",
-            geom_key,
-            grid_key(azimuths, polars),
-            measured_key,
-            self._sigma_key(sigma),
-        )
-        cached = self._spectra.get(spectrum_key)
-        if cached is not None:
-            return cached
         spectrum = _joint_profile(
-            series, azimuths, polars, sigma, power_fn=self._joint_power
+            series,
+            np.asarray(azimuth_grid, dtype=float),
+            np.asarray(polar_grid, dtype=float),
+            sigma,
+            power_fn=self._joint_power,
         )
         spectrum.power.setflags(write=False)
-        self._spectra.put(spectrum_key, spectrum, cost=spectrum.power.size)
         return spectrum
 
     # ------------------------------------------------------------------
-    # Introspection / lifecycle
+    # Introspection
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict:
         orders = {
@@ -963,21 +824,9 @@ class HarmonicEngine(SpectrumEngine):
         return {
             "steering": self._steering.stats.as_dict(),
             "geometry": self._geometry.stats.as_dict(),
-            "spectra": self._spectra.stats.as_dict(),
-            "rowsums": self._rowsums.stats.as_dict(),
-            "grids": self._grids.stats.as_dict(),
             "harmonic": {
                 "orders": orders,
                 "fft_batches": self.fft_batches,
                 "dense_fallbacks": self.dense_fallbacks,
             },
         }
-
-    def clear_caches(self) -> None:
-        self._key_memo.clear()
-        self._scratch.clear()
-        self._steering.clear()
-        self._geometry.clear()
-        self._spectra.clear()
-        self._rowsums.clear()
-        self._grids.clear()

@@ -7,13 +7,15 @@ series *geometry* (sample times, wavelength, disk radius, angular speed,
 starting angle) and the candidate grid, never on the measured phases.
 The localization pipeline re-evaluates spectra of the same series several
 times per fix (disk-quality scoring, triangulation, the orientation-
-corrected second pass, the R-to-Q fallback) and again on every poll of an
-unchanged buffer, so caching steering matrices removes the dominant
-trigonometric cost from every evaluation after the first.
+corrected second pass, the R-to-Q fallback), so memoizing steering
+matrices for the fix (see :mod:`repro.perf.cache`) removes the dominant
+trigonometric cost from every evaluation after the first.  The sample
+times change with every appended report, so no later fix could reuse
+them.
 
 Grids are built per call by :func:`~repro.core.spectrum.default_azimuth_grid`
-and friends, so keys quantize the grid *values* (see
-:mod:`repro.perf.cache`) rather than relying on object identity.
+and friends, so keys quantize the grid *values* rather than relying on
+object identity.
 """
 
 from __future__ import annotations
@@ -24,12 +26,7 @@ import numpy as np
 
 from repro.core.phase import relative_phase_model
 from repro.core.spectrum import SnapshotSeries
-from repro.perf.cache import LRUCache, quantize_array, quantize_scalar
-
-#: Default steering budget: total float64 elements across cached matrices
-#: (64M elements = 512 MB).  Joint coarse grids are ~2M elements per
-#: series, so the default comfortably holds a multi-disk deployment.
-DEFAULT_STEERING_BUDGET = 64_000_000
+from repro.perf.cache import ScopedCache, quantize_array, quantize_scalar
 
 
 def series_geometry_key(series: SnapshotSeries) -> Hashable:
@@ -57,23 +54,19 @@ def grid_key(
 
 
 class SteeringCache:
-    """LRU cache of steering matrices keyed on quantized geometry.
+    """Fix-scoped memo of steering matrices keyed on quantized geometry.
 
     ``azimuth`` returns the ``(n_azimuth, n_snapshots)`` matrix of a 1D
     profile; ``joint`` the ``(n_polar, n_azimuth, n_snapshots)`` block of
     a joint profile, built in row blocks under ``max_block_elements`` so
     a very fine grid never materializes an over-budget temporary beyond
-    the final (cached) result.
+    the final (memoized) result.
     """
 
-    def __init__(
-        self,
-        budget: int = DEFAULT_STEERING_BUDGET,
-        max_block_elements: int = 8_000_000,
-    ) -> None:
+    def __init__(self, max_block_elements: int = 8_000_000) -> None:
         if max_block_elements < 1:
             raise ValueError("max_block_elements must be positive")
-        self._cache = LRUCache(budget)
+        self._cache = ScopedCache()
         self.max_block_elements = max_block_elements
 
     def key(
@@ -106,7 +99,7 @@ class SteeringCache:
         )
         theoretical = np.asarray(theoretical, dtype=float)
         theoretical.setflags(write=False)
-        self._cache.put(key, theoretical, cost=theoretical.size)
+        self._cache.put(key, theoretical)
         return key, theoretical
 
     def joint(
@@ -150,12 +143,9 @@ class SteeringCache:
                     series.phase0,
                 )
         theoretical.setflags(write=False)
-        self._cache.put(key, theoretical, cost=theoretical.size)
+        self._cache.put(key, theoretical)
         return key, theoretical
 
     @property
     def stats(self):
         return self._cache.stats
-
-    def clear(self) -> None:
-        self._cache.clear()

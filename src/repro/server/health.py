@@ -61,9 +61,10 @@ class DeploymentMonitor:
         angular speed or phase reference collapses it)
 
     ``engine`` scores the spectrum peaks (default: the reference
-    engine).  A server passes its own engine instance, so the monitor
-    reuses the caches its fixes already filled instead of recomputing
-    every stream's spectrum on a dense engine of its own.
+    engine).  A server passes its own engine instance and runs the
+    monitor inside the fix's scope (:func:`~repro.perf.cache.fix_scope`),
+    so the monitor re-reads the spectra that fix just scored instead of
+    recomputing them on a dense engine of its own.
     """
 
     def __init__(

@@ -18,7 +18,10 @@ robustness stack:
   and its findings ride along on each fix;
 * every fix carries a :class:`~repro.robustness.diagnostics.FixDiagnostics`
   record, and each (reader, antenna) stream exposes a machine-readable
-  :class:`~repro.robustness.diagnostics.DegradationState`.
+  :class:`~repro.robustness.diagnostics.DegradationState`;
+* each supervised fix (retries and the monitor call included) runs in
+  one fix scope (:func:`~repro.perf.cache.fix_scope`), so the engine's
+  memo serves every pass of the fix and is dropped when it returns.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.errors import PermanentError, TransientError
 from repro.hardware.llrp import TagReportData
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
+from repro.perf.cache import fix_scope
 from repro.perf.engine import EngineSpec
 from repro.robustness.diagnostics import (
     DegradationState,
@@ -106,7 +110,8 @@ class ResilientLocalizationServer(LocalizationServer):
         retries (e.g. re-polling a live reader).  Without it, retries
         rely on reports ingested concurrently by other threads.
     monitor : deployment monitor run on the supervision cadence; the
-        default one shares this server's engine instance and caches.
+        default one shares this server's engine instance, so inside the
+        fix's scope it re-reads the spectra the fix just scored.
     monitor_every : run the deployment monitor every N locate calls per
         stream (1 = every call).
     sleep : injection point for the backoff wait (tests pass a stub).
@@ -118,9 +123,9 @@ class ResilientLocalizationServer(LocalizationServer):
         (:class:`~repro.fleet.worker.DeploymentSpec`): the gated
         pipeline's repeated passes (scoring, triangulation, R-to-Q
         fallback) and the monitor only need spectrum peaks, which its
-        coarse-to-fine search finds over per-geometry harmonic tables
-        cached across fixes.  ``"batched"`` and ``"harmonic"`` keep
-        dense power surfaces.
+        coarse-to-fine search finds over harmonic tables built once per
+        fix.  ``"batched"`` and ``"harmonic"`` keep dense power
+        surfaces.
     """
 
     def __init__(
@@ -245,7 +250,7 @@ class ResilientLocalizationServer(LocalizationServer):
     # Worker-side lifecycle hooks (sharded fleet)
     # ------------------------------------------------------------------
     def engine_cache_stats(self) -> dict:
-        """The spectrum engine's cache counters for this deployment.
+        """The spectrum engine's cumulative memo counters.
 
         Worker processes report these back to the sharded fleet's parent
         so ``bench-engine``/fleet bench JSON can aggregate cache and
@@ -255,7 +260,7 @@ class ResilientLocalizationServer(LocalizationServer):
         return self.system.engine.cache_stats()
 
     def close(self) -> None:
-        """Release engine-held resources (caches).
+        """Release engine-held resources.
 
         Called by sharded-fleet workers during graceful shutdown; safe to
         call more than once.
@@ -303,6 +308,7 @@ class ResilientLocalizationServer(LocalizationServer):
             mode="3d",
         )
 
+    @fix_scope()
     def _supervised_locate(self, reader_name, antenna_port, locate,
                            mode="2d"):
         key: StreamKey = (reader_name, antenna_port)

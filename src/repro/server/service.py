@@ -12,11 +12,10 @@ The repeated poll-after-append pattern is served on
 ``engine="adaptive-harmonic"``, the fleet's default
 (:class:`~repro.fleet.worker.DeploymentSpec`): a fix only needs the
 spectrum peak, which the coarse-to-fine search finds over harmonic
-steering tables that are realized by batched inverse FFTs and cached per
-geometry, so re-locating against an updated buffer (same disks, new
-phases) pays no steering work at all.  Engines key their caches on
-values (series geometry, phases, grid), never on stream identity, so
-clearing or restoring a buffer needs no engine bookkeeping.
+steering tables realized by batched inverse FFTs.  Engines memoize only
+inside one fix (:func:`~repro.perf.cache.fix_scope`), keyed on values
+(series geometry, phases, grid), never on stream identity, so clearing
+or restoring a buffer needs no engine bookkeeping.
 """
 
 from __future__ import annotations

@@ -24,7 +24,13 @@ from repro.core.spectrum import (
     default_azimuth_grid,
     default_polar_grid,
 )
-from repro.perf import AdaptiveEngine, BatchedEngine, ReferenceEngine, create_engine
+from repro.perf import (
+    AdaptiveEngine,
+    BatchedEngine,
+    ReferenceEngine,
+    create_engine,
+    fix_scope,
+)
 
 TOLERANCE = 1e-3  # rad; the engine default the acceptance gate uses
 
@@ -246,7 +252,7 @@ class TestEnginePlumbing:
     def test_repeated_call_serves_cached_spectrum(self):
         grid = default_azimuth_grid(np.deg2rad(0.5))
         series = make_series(azimuth=0.7, noise_std=0.05, seed=8)
-        with AdaptiveEngine() as engine:
+        with AdaptiveEngine() as engine, fix_scope():
             first = engine.azimuth_spectrum(series, grid, 0.14)
             second = engine.azimuth_spectrum(series, grid, 0.14)
             stats = engine.cache_stats()["adaptive"]

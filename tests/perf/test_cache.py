@@ -1,4 +1,4 @@
-"""Unit tests for the cost-bounded LRU cache, key quantization and the
+"""Unit tests for the fix-scoped memo, key quantization and the
 fleet-wide merge of per-process cache stats."""
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ import pytest
 
 from repro.perf.cache import (
     KEY_DECIMALS,
-    LRUCache,
+    ScopedCache,
+    fix_scope,
     quantize_array,
     quantize_scalar,
 )
@@ -38,98 +39,99 @@ class TestQuantization:
         )
 
 
-class TestLRUCache:
-    def test_miss_then_hit(self):
-        cache = LRUCache(max_cost=10)
+class TestFixScope:
+    def test_outside_any_scope_nothing_is_kept(self):
+        cache = ScopedCache()
+        cache.put("a", 1)
         assert cache.get("a") is None
-        cache.put("a", 1, cost=1)
-        assert cache.get("a") == 1
+        assert cache.stats.misses == 1
+
+    def test_entries_live_until_the_scope_closes(self):
+        cache = ScopedCache()
+        with fix_scope():
+            assert cache.get("a") is None
+            cache.put("a", 1)
+            assert cache.get("a") == 1
+        with fix_scope():
+            assert cache.get("a") is None
         stats = cache.stats
-        assert stats.hits == 1
-        assert stats.misses == 1
-        assert stats.entries == 1
-        assert stats.hit_ratio == 0.5
-
-    def test_cost_bounded_eviction_is_lru_ordered(self):
-        cache = LRUCache(max_cost=3)
-        cache.put("a", "A", cost=1)
-        cache.put("b", "B", cost=1)
-        cache.put("c", "C", cost=1)
-        cache.get("a")  # refresh "a"; "b" is now least recent
-        cache.put("d", "D", cost=1)
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache and "d" in cache
-        assert cache.stats.evictions == 1
-
-    def test_large_insert_evicts_many(self):
-        cache = LRUCache(max_cost=4)
-        for key in "abcd":
-            cache.put(key, key, cost=1)
-        cache.put("big", "BIG", cost=3)
-        assert "big" in cache
-        assert cache.stats.cost <= 4
-        assert cache.stats.evictions == 3
-
-    def test_oversized_entry_not_cached(self):
-        cache = LRUCache(max_cost=2)
-        cache.put("huge", "X", cost=3)
-        assert "huge" not in cache
-        assert len(cache) == 0
-
-    def test_replacing_entry_updates_cost(self):
-        cache = LRUCache(max_cost=5)
-        cache.put("a", "old", cost=4)
-        cache.put("a", "new", cost=2)
-        assert cache.get("a") == "new"
-        assert cache.stats.cost == 2
-        assert len(cache) == 1
-
-    def test_clear_resets_contents_and_cost(self):
-        cache = LRUCache(max_cost=5)
-        cache.put("a", 1, cost=2)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.cost == 0
-        assert cache.get("a") is None
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            LRUCache(max_cost=-1)
-
-    def test_zero_budget_caches_nothing(self):
-        cache = LRUCache(max_cost=0)
-        cache.put("a", 1, cost=1)
-        assert len(cache) == 0
-
-    def test_stats_as_dict_round_trip(self):
-        cache = LRUCache(max_cost=4)
-        cache.put("a", 1, cost=1)
-        cache.get("a")
-        cache.get("missing")
-        stats = cache.stats.as_dict()
-        assert stats == {
+        assert (stats.hits, stats.misses) == (1, 2)
+        assert stats.as_dict() == {
             "hits": 1,
-            "misses": 1,
-            "evictions": 0,
-            "cost": 1,
-            "entries": 1,
-            "hit_ratio": 0.5,
+            "misses": 2,
+            "hit_ratio": pytest.approx(1 / 3),
         }
 
-    def test_concurrent_access_is_consistent(self):
-        """Hammer one cache from several threads; counters must balance."""
-        cache = LRUCache(max_cost=64)
+    def test_nested_scopes_join_the_outermost(self):
+        cache = ScopedCache()
+        with fix_scope():
+            with fix_scope():
+                cache.put("a", 1)
+            assert cache.get("a") == 1
+
+    @fix_scope()
+    def _put_and_get(self, cache):
+        cache.put("a", 1)
+        return cache.get("a")
+
+    def test_decorator_form_opens_a_scope_per_call(self):
+        cache = ScopedCache()
+        assert self._put_and_get(cache) == 1
+        assert cache.get("a") is None
+
+    def test_scope_closes_on_error(self):
+        cache = ScopedCache()
+        with pytest.raises(RuntimeError):
+            with fix_scope():
+                cache.put("a", 1)
+                raise RuntimeError("fix failed")
+        with fix_scope():
+            assert cache.get("a") is None
+
+    def test_caches_keep_separate_tables(self):
+        first, second = ScopedCache(), ScopedCache()
+        with fix_scope():
+            first.put("a", 1)
+            assert second.get("a") is None
+
+    def test_threads_neither_share_nor_drop_each_others_memo(self):
+        """One thread closing its scope leaves another's memo intact."""
+        cache = ScopedCache()
+        opened, closed = threading.Event(), threading.Event()
+        seen = {}
+
+        def other_fix():
+            with fix_scope():
+                seen["foreign"] = cache.get("main")
+                cache.put("other", 2)
+                opened.set()
+            closed.set()
+
+        with fix_scope():
+            cache.put("main", 1)
+            thread = threading.Thread(target=other_fix)
+            thread.start()
+            assert opened.wait(10) and closed.wait(10)
+            thread.join()
+            assert cache.get("main") == 1
+            assert cache.get("other") is None
+        assert seen["foreign"] is None
+
+    def test_concurrent_counters_balance(self):
+        """Counters stay exact when several threads share one cache."""
+        cache = ScopedCache()
         errors = []
 
         def worker(worker_id):
             try:
-                for i in range(200):
-                    key = (worker_id, i % 8)
-                    value = cache.get(key)
-                    if value is None:
-                        cache.put(key, key, cost=1)
-                    elif value != key:
-                        raise AssertionError("cross-thread value corruption")
+                with fix_scope():
+                    for i in range(200):
+                        key = (worker_id, i % 8)
+                        value = cache.get(key)
+                        if value is None:
+                            cache.put(key, key)
+                        elif value != key:
+                            raise AssertionError("cross-thread value")
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -143,7 +145,7 @@ class TestLRUCache:
         assert not errors
         stats = cache.stats
         assert stats.hits + stats.misses == 4 * 200
-        assert stats.cost <= 64
+        assert stats.misses == 4 * 8
 
 
 class TestMergeCacheStats:

@@ -26,7 +26,7 @@ from repro.core.spectrum import (
     default_azimuth_grid,
     default_polar_grid,
 )
-from repro.perf import BatchedEngine, HarmonicEngine, ReferenceEngine
+from repro.perf import BatchedEngine, HarmonicEngine, ReferenceEngine, fix_scope
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "golden_scenarios.npz"
 SCENARIOS = ("clean", "pi_slip", "multipath")
@@ -231,10 +231,11 @@ def test_joint_spectrum_matches_reference(golden, kind, make_engine):
 
 
 def test_repeated_calls_stay_golden(golden):
-    """Cache hits return the same spectrum, not a stale or mutated one."""
+    """Memo hits inside one fix return the same spectrum, not a stale or
+    mutated one."""
     grid = _grid(golden)
     series = _disk_series(golden, "clean")[0][0]
-    with BatchedEngine() as engine:
+    with BatchedEngine() as engine, fix_scope():
         first = engine.azimuth_spectrum(series, grid, RELATIVE_PHASE_STD_RAD)
         second = engine.azimuth_spectrum(series, grid, RELATIVE_PHASE_STD_RAD)
         assert second is first  # served from the spectrum cache

@@ -8,8 +8,9 @@ expansion realized by batched inverse FFTs.  The tests pin:
   and truncation margins (hypothesis, slow suite);
 * the exact alias fold when the harmonic band exceeds the grid length;
 * the dense fallback on non-circular (sector) grids;
-* cross-fix batching: ``evaluate_many`` matches per-series evaluation,
-  re-fixing the same geometry with new phases hits the steering cache;
+* cross-series batching: ``evaluate_many`` matches per-series
+  evaluation, and inside one fix scope a pass over the same geometry
+  with new phases hits the steering memo;
 * the accumulate kernel's argument validation;
 * the engine registry's names.
 """
@@ -30,7 +31,7 @@ from repro.core.spectrum import (
     default_azimuth_grid,
     default_polar_grid,
 )
-from repro.perf import HarmonicEngine, ReferenceEngine, create_engine
+from repro.perf import HarmonicEngine, ReferenceEngine, create_engine, fix_scope
 from repro.perf.harmonic import (
     MIN_FFT_GRID_POINTS,
     _circular_layout,
@@ -185,15 +186,16 @@ class TestCrossFixBatching:
             assert abs(want.peak_azimuth - got.peak_azimuth) <= TOLERANCE
 
     def test_refix_hits_steering_cache(self):
-        # Same geometry, new measured phases — the re-fix shape of the
-        # pipeline's orientation-corrected pass.  Steering phasors are
-        # measured-phase independent, so the second fix must hit.
+        # Same geometry, new measured phases — the shape of the
+        # pipeline's orientation-corrected pass inside one fix.  Steering
+        # phasors are measured-phase independent, so the second pass
+        # must hit.
         grid = default_azimuth_grid(np.deg2rad(1.0))
         series = _series()
         corrected = dataclasses.replace(
             series, phases=np.mod(series.phases + 0.03, 2.0 * np.pi)
         )
-        with HarmonicEngine() as engine:
+        with HarmonicEngine() as engine, fix_scope():
             engine.azimuth_spectrum(series, grid, SIGMA)
             misses = engine.cache_stats()["steering"]["misses"]
             engine.azimuth_spectrum(corrected, grid, SIGMA)
@@ -207,8 +209,8 @@ class TestCrossFixBatching:
         with HarmonicEngine() as engine:
             engine.azimuth_spectrum(_series(), grid, SIGMA)
             stats = engine.cache_stats()
-        for cache in ("steering", "geometry", "spectra", "rowsums", "grids"):
-            for counter in ("hits", "misses", "evictions"):
+        for cache in ("steering", "geometry"):
+            for counter in ("hits", "misses"):
                 assert counter in stats[cache]
         orders = stats["harmonic"]["orders"]
         assert orders["count"] >= 1

@@ -87,18 +87,42 @@ class TestPipelineEngineEquivalence:
         assert fix.position.distance_to(truth) < 0.15
 
     def test_repeated_fix_hits_caches(self, collected):
+        """Inside one fix, the locate pass re-reads the scoring pass's
+        spectra instead of recomputing them."""
         scenario, batch = collected
         engine = BatchedEngine()
         system = TagspinSystem(
             scenario.scene.registry, scenario.config.pipeline, engine=engine
         )
-        first = system.locate_2d(batch, 1)
-        cold = engine.cache_stats()["spectra"]
-        second = system.locate_2d(batch, 1)
-        warm = engine.cache_stats()["spectra"]
-        assert warm["hits"] > cold["hits"]
+        first, _diagnostics = system.locate_2d_diagnosed(batch, 1)
+        assert engine.cache_stats()["spectra"]["hits"] > 0
+        second, _diagnostics = system.locate_2d_diagnosed(batch, 1)
         assert second.position.x == first.position.x
         assert second.position.y == first.position.y
+
+    def test_fix_retains_nothing_after_it_returns(self, collected):
+        """A second fix over the same buffer computes everything again:
+        the first fix's memo was dropped when it returned."""
+        scenario, batch = collected
+        engine = BatchedEngine()
+        system = TagspinSystem(
+            scenario.scene.registry, scenario.config.pipeline, engine=engine
+        )
+
+        def counters():
+            stats = engine.cache_stats()
+            return {
+                (name, key): stats[name][key]
+                for name in ("steering", "residuals", "spectra")
+                for key in ("hits", "misses")
+            }
+
+        system.locate_2d_diagnosed(batch, 1)
+        once = counters()
+        system.locate_2d_diagnosed(batch, 1)
+        twice = counters()
+        assert all(twice[key] == 2 * once[key] for key in once)
+        assert once[("spectra", "misses")] > 0
 
     def test_engine_instance_passthrough(self, collected):
         scenario, _batch = collected
