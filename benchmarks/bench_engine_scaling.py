@@ -1,5 +1,4 @@
-"""Engine-scaling benchmark: reference vs batched vs adaptive vs
-harmonic.
+"""Engine-scaling benchmark: reference vs harmonic vs adaptive-harmonic.
 
 Unlike the paper-figure benchmarks (which run under pytest), this is a
 standalone script so CI's perf-smoke job and developers can run it
@@ -12,28 +11,28 @@ directly:
 4 disks x 2 antennas x 8 channels, fewer snapshots/rounds but the full
 0.5-degree grid) and **fails** (exit 1) unless
 
-* the batched engine beats the reference engine,
-* the adaptive engine is at least ``--min-adaptive-speedup`` (default
-  2x) faster than the batched engine with its max angular error within
-  the configured tolerance (default 1e-3 rad),
 * the harmonic engine is at least ``--min-harmonic-speedup`` (default
-  3x) faster than the batched engine with its errors within the dense
-  budgets (the full-sweep medium scenario records >= 5x).
+  3x) faster than the reference engine with its errors within the dense
+  budgets,
+* the adaptive-harmonic engine, the one the fleet serves on, is at
+  least ``--min-adaptive-speedup`` (default 2x) faster than the
+  reference engine with its max angular error within the configured
+  tolerance (default 1e-3 rad).
 
-``--json`` writes the machine-readable timings; every run also writes
-``benchmarks/results/BENCH_<mode>.json`` — plus
-``benchmarks/results/BENCH_harmonic.json`` whenever the harmonic engine
-was timed — so a perf trajectory (``BENCH_*.json``, uploaded by the CI
-perf-smoke job) accumulates across PRs.
+``--json`` writes the machine-readable timings (``tagspin-bench/1``) and
+``--metrics-out`` the run's registry snapshot; the script writes no other
+file, so the committed ``benchmarks/results/`` files stay the record of
+the runs they came from.
 
-Every run verifies engine equivalence before timing (dense engines
-within 1e-9, the adaptive engines' peaks within their angular
+Every run verifies engine equivalence before timing (the harmonic
+engine within 1e-9, the adaptive engine's peaks within its angular
 tolerance); see ``repro/perf/bench.py`` for the workload definition.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -49,15 +48,11 @@ from repro.perf.bench import (
 #: Telemetry overhead the --quick gate tolerates on the medium scenario.
 MAX_TELEMETRY_OVERHEAD = 0.03
 
-RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Default adaptive-vs-batched speedup the --quick gate requires.
+#: Default adaptive-harmonic-vs-reference speedup the --quick gate
+#: requires.
 MIN_ADAPTIVE_SPEEDUP = 2.0
 
-#: Default harmonic-vs-batched speedup the --quick gate requires.  The
-#: full medium scenario measures >= 5x; the trimmed quick scenario (60
-#: snapshots) leaves the FFT overhead proportionally larger, so the CI
-#: floor is 3x.
+#: Default harmonic-vs-reference speedup the --quick gate requires.
 MIN_HARMONIC_SPEEDUP = 3.0
 
 
@@ -69,8 +64,8 @@ def main(argv=None) -> int:
         "--quick",
         action="store_true",
         help="trimmed medium-scenario run with the CI perf gates "
-        "(batched > reference, adaptive >= 2x batched within tolerance, "
-        "harmonic >= 3x batched within the dense budgets)",
+        "(harmonic >= 3x reference within the dense budgets, "
+        "adaptive-harmonic >= 2x reference within tolerance)",
     )
     parser.add_argument(
         "--scales",
@@ -82,9 +77,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engines",
         nargs="+",
-        default=["reference", "batched", "adaptive", "harmonic"],
-        help="engines to time (default: reference batched adaptive "
-        "harmonic)",
+        default=["reference", "harmonic", "adaptive-harmonic"],
+        help="engines to time (default: reference harmonic "
+        "adaptive-harmonic)",
     )
     parser.add_argument("--rounds", type=int, default=None,
                         help="fixes per scenario (default 3; --quick 2)")
@@ -99,13 +94,14 @@ def main(argv=None) -> int:
         "--min-adaptive-speedup",
         type=float,
         default=MIN_ADAPTIVE_SPEEDUP,
-        help="adaptive-vs-batched speedup the --quick gate requires",
+        help="adaptive-harmonic-vs-reference speedup the --quick gate "
+        "requires",
     )
     parser.add_argument(
         "--min-harmonic-speedup",
         type=float,
         default=MIN_HARMONIC_SPEEDUP,
-        help="harmonic-vs-batched speedup the --quick gate requires",
+        help="harmonic-vs-reference speedup the --quick gate requires",
     )
     parser.add_argument(
         "--telemetry-overhead",
@@ -154,8 +150,7 @@ def main(argv=None) -> int:
         tolerance=args.tolerance,
         **overrides,
     )
-    table = format_results(results)
-    print(table)
+    print(format_results(results))
 
     telemetry = None
     if args.telemetry_overhead:
@@ -172,94 +167,52 @@ def main(argv=None) -> int:
     from repro.obs.metrics import get_registry
 
     metrics_snapshot = get_registry().snapshot()
-    payload = results_to_json(
-        results,
-        telemetry=telemetry,
-        metrics=metrics_snapshot,
-    )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "engine_scaling.txt").write_text(table + "\n")
-    mode = "quick" if args.quick else "full"
-    trajectory = RESULTS_DIR / f"BENCH_{mode}.json"
-    trajectory.write_text(payload)
-    print(f"\nwrote {trajectory}")
-    if any(name.startswith("harmonic") for name in args.engines):
-        harmonic_trajectory = RESULTS_DIR / "BENCH_harmonic.json"
-        harmonic_trajectory.write_text(payload)
-        print(f"wrote {harmonic_trajectory}")
     if args.metrics_out is not None:
-        import json as json_module
-
         args.metrics_out.parent.mkdir(parents=True, exist_ok=True)
         args.metrics_out.write_text(
-            json_module.dumps(metrics_snapshot, indent=2) + "\n"
+            json.dumps(metrics_snapshot, indent=2) + "\n"
         )
         print(f"wrote {args.metrics_out}")
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(payload)
+        args.json.write_text(
+            results_to_json(
+                results, telemetry=telemetry, metrics=metrics_snapshot
+            )
+        )
         print(f"wrote {args.json}")
 
     if args.quick:
         failures = []
+        gates = (
+            ("harmonic", args.min_harmonic_speedup, "budget"),
+            ("adaptive-harmonic", args.min_adaptive_speedup, "tolerance"),
+        )
         for result in results:
             reference = result.timing("reference")
-            batched = result.timing("batched")
-            adaptive = result.timing("adaptive")
-            if reference is not None and batched is not None:
-                if batched.total_s >= reference.total_s:
+            for name, floor, budget in gates:
+                timing = result.timing(name)
+                if reference is None or timing is None:
+                    continue
+                ratio = reference.total_s / timing.total_s
+                if ratio < floor:
                     failures.append(
-                        f"batched engine ({batched.total_s:.3f}s) is not "
-                        f"faster than reference ({reference.total_s:.3f}s) "
-                        f"on the {result.spec.name} scenario"
+                        f"{name} engine is only {ratio:.2f}x the reference "
+                        f"engine on the {result.spec.name} scenario "
+                        f"(need >= {floor:.1f}x)"
+                    )
+                elif timing.max_angular_error > timing.error_budget:
+                    failures.append(
+                        f"{name} max angular error "
+                        f"{timing.max_angular_error:.2e} rad exceeds the "
+                        f"{budget} {timing.error_budget:.0e}"
                     )
                 else:
                     print(
-                        f"OK: batched engine is {batched.speedup:.2f}x the "
-                        f"reference on the {result.spec.name} scenario"
-                    )
-            if batched is not None and adaptive is not None:
-                ratio = batched.total_s / adaptive.total_s
-                if ratio < args.min_adaptive_speedup:
-                    failures.append(
-                        f"adaptive engine is only {ratio:.2f}x the batched "
+                        f"OK: {name} engine is {ratio:.2f}x the reference "
                         f"engine on the {result.spec.name} scenario "
-                        f"(need >= {args.min_adaptive_speedup:.1f}x)"
-                    )
-                elif adaptive.max_angular_error > adaptive.error_budget:
-                    failures.append(
-                        f"adaptive max angular error "
-                        f"{adaptive.max_angular_error:.2e} rad exceeds the "
-                        f"tolerance {adaptive.error_budget:.0e}"
-                    )
-                else:
-                    print(
-                        f"OK: adaptive engine is {ratio:.2f}x the batched "
-                        f"engine on the {result.spec.name} scenario "
-                        f"(max angular error {adaptive.max_angular_error:.2e}"
-                        f" <= {adaptive.error_budget:.0e} rad)"
-                    )
-            harmonic = result.timing("harmonic")
-            if batched is not None and harmonic is not None:
-                ratio = batched.total_s / harmonic.total_s
-                if ratio < args.min_harmonic_speedup:
-                    failures.append(
-                        f"harmonic engine is only {ratio:.2f}x the batched "
-                        f"engine on the {result.spec.name} scenario "
-                        f"(need >= {args.min_harmonic_speedup:.1f}x)"
-                    )
-                elif harmonic.max_angular_error > harmonic.error_budget:
-                    failures.append(
-                        f"harmonic max angular error "
-                        f"{harmonic.max_angular_error:.2e} rad exceeds the "
-                        f"budget {harmonic.error_budget:.0e}"
-                    )
-                else:
-                    print(
-                        f"OK: harmonic engine is {ratio:.2f}x the batched "
-                        f"engine on the {result.spec.name} scenario "
-                        f"(max angular error {harmonic.max_angular_error:.2e}"
-                        f" <= {harmonic.error_budget:.0e} rad)"
+                        f"(max angular error {timing.max_angular_error:.2e}"
+                        f" <= {timing.error_budget:.0e} rad)"
                     )
         if telemetry is not None:
             if telemetry.overhead_fraction > args.max_telemetry_overhead:

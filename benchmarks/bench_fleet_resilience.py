@@ -36,9 +36,10 @@ multi-deployment columnar replay through a single-process supervisor
   (scaled pro-rata below 4; only enforced when the host actually has
   that many cores — a 1-core CI box cannot demonstrate a speedup).
 
-Every run writes ``benchmarks/results/BENCH_fleet_<mode>.json``
-(schema ``tagspin-bench/1``) so the resilience trajectory accumulates
-across PRs next to the engine-scaling one.
+``--json`` writes the machine-readable metrics (schema
+``tagspin-bench/1``); the script writes no other file, so the committed
+``benchmarks/results/BENCH_fleet_*.json`` stay the record of the runs
+they came from.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from repro.server.resilience import ResilientLocalizationServer, RetryPolicy
 from repro.sim.scenario import paper_default_scenario
 from repro.sim.wire_recording import WireRecording
 
-RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_POSE = Point3(0.4, 1.9, 0.0)
 
 
@@ -534,7 +534,7 @@ def main(argv=None) -> int:
         "--json",
         type=Path,
         default=None,
-        help="write machine-readable metrics to this path too",
+        help="write machine-readable metrics to this path",
     )
     args = parser.parse_args(argv)
 
@@ -554,10 +554,6 @@ def main(argv=None) -> int:
             indent=2,
             sort_keys=True,
         )
-        RESULTS_DIR.mkdir(exist_ok=True)
-        trajectory = RESULTS_DIR / "BENCH_fleet_sharded.json"
-        trajectory.write_text(payload + "\n")
-        print(f"\nwrote {trajectory}")
         if args.json is not None:
             args.json.parent.mkdir(parents=True, exist_ok=True)
             args.json.write_text(payload + "\n")
@@ -620,11 +616,6 @@ def main(argv=None) -> int:
         indent=2,
         sort_keys=True,
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    mode = "quick" if args.quick else "full"
-    trajectory = RESULTS_DIR / f"BENCH_fleet_{mode}.json"
-    trajectory.write_text(payload + "\n")
-    print(f"\nwrote {trajectory}")
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(payload + "\n")

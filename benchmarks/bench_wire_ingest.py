@@ -23,8 +23,10 @@ paper-default scenario:
 is at least ``--min-speedup`` (default 3x) faster than the object path
 and both decoders agree report-for-report on every benchmarked frame.
 
-Every run writes ``benchmarks/results/BENCH_wire_ingest.json``
-(schema ``tagspin-bench/1``).
+``--json`` writes the machine-readable metrics (schema
+``tagspin-bench/1``); the script writes no other file, so the committed
+``benchmarks/results/BENCH_wire_ingest.json`` stays the record of the
+run it came from.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from repro.obs.metrics import get_registry
 from repro.sim.scenario import paper_default_scenario
 from repro.sim.wire_recording import WireRecording
 
-RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_POSE = Point3(0.4, 1.9, 0.0)
 MTU_BYTES = 1400
 
@@ -184,7 +185,7 @@ def main(argv=None) -> int:
                         help="columnar-vs-object decode gate (--quick)")
     parser.add_argument("--seed", type=int, default=2016)
     parser.add_argument("--json", type=Path, default=None,
-                        help="write machine-readable metrics here too")
+                        help="write machine-readable metrics here")
     args = parser.parse_args(argv)
 
     repeats = args.repeats or (5 if args.quick else 20)
@@ -247,10 +248,6 @@ def main(argv=None) -> int:
         indent=2,
         sort_keys=True,
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    trajectory = RESULTS_DIR / "BENCH_wire_ingest.json"
-    trajectory.write_text(payload + "\n")
-    print(f"\nwrote {trajectory}")
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(payload + "\n")

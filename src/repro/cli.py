@@ -19,9 +19,9 @@ Commands
     Simulate a collection with an optional injected fault, run it through
     the resilient server and print the fix with its full diagnostics.
 ``bench-engine``
-    Time the spectrum engines (reference vs batched vs adaptive vs
-    harmonic) over a synthetic multi-disk deployment and print the
-    scaling table; ``--tolerance`` sets the adaptive engines' angular
+    Time the spectrum engines (reference vs harmonic vs
+    adaptive-harmonic) over a synthetic multi-disk deployment and print
+    the scaling table; ``--tolerance`` sets the adaptive engine's angular
     tolerance.  ``--json`` writes the full
     ``tagspin-bench/1`` document, including every engine's memo
     hit/miss counters and the harmonic engine's
@@ -815,9 +815,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument(
         "--engines",
         nargs="+",
-        default=["reference", "batched", "adaptive", "harmonic"],
-        help="engines to time (reference, batched, adaptive, "
-        "harmonic, adaptive-harmonic)",
+        default=["reference", "harmonic", "adaptive-harmonic"],
+        help="engines to time (reference, harmonic, adaptive-harmonic)",
     )
     pb.add_argument("--rounds", type=int, default=3,
                     help="localization fixes per scenario")

@@ -107,12 +107,11 @@ class TagspinSystem:
 
     ``engine`` selects the spectrum-evaluation strategy (see
     :mod:`repro.perf`): ``None``/``"reference"`` keeps the seed per-call
-    path, ``"batched"`` adds vectorized whole-grid evaluation,
-    ``"harmonic"`` evaluates by inverse FFTs and ``"adaptive"`` /
-    ``"adaptive-harmonic"`` search coarse-to-fine for the peak; an
-    engine instance is used as-is.  Dense engines are equivalent within
-    1e-9 (the batched engine bit-for-bit) and the adaptive ones within
-    their angular tolerance, so the choice only affects speed.
+    path, ``"harmonic"`` evaluates by inverse FFTs and
+    ``"adaptive-harmonic"`` searches coarse-to-fine for the peak; an
+    engine instance is used as-is.  The harmonic engine is equivalent
+    within 1e-9 and the adaptive one within its angular tolerance, so
+    the choice only affects speed.
 
     Every ``locate_*`` call runs in one fix scope
     (:func:`~repro.perf.cache.fix_scope`), joining the caller's when one
@@ -323,32 +322,7 @@ class TagspinSystem:
         all_series = {
             epc: self.extract_series(batch, epc, antenna_port) for epc in epcs
         }
-        centers = [
-            self.registry.get(epc).disk.center.horizontal() for epc in epcs
-        ]
-        locator = TagspinLocator2D()
-
-        spectra = self._azimuth_spectra_batch(
-            [all_series[epc] for epc in epcs]
-        )
-        fix = locator.locate(centers, spectra)
-
-        if self.config.orientation_calibration and any(
-            self.registry.get(epc).orientation_profile is not None for epc in epcs
-        ):
-            coarse = Point3(fix.position.x, fix.position.y, 0.0)
-            corrected_groups = []
-            for epc in epcs:
-                record = self.registry.get(epc)
-                corrected_groups.append(
-                    [
-                        self._orientation_corrected(record, s, coarse)
-                        for s in all_series[epc]
-                    ]
-                )
-            refined = self._azimuth_spectra_batch(corrected_groups)
-            fix = locator.locate(centers, refined)
-        return fix
+        return self._locate_2d_from(epcs, all_series, enhanced=None)
 
     # ------------------------------------------------------------------
     # Gated localization (repro.robustness)
@@ -484,7 +458,8 @@ class TagspinSystem:
         all_series: Dict[str, List[SnapshotSeries]],
         enhanced: Optional[bool],
     ) -> Fix2D:
-        """Triangulate a fixed disk subset (the clean locate_2d core)."""
+        """Triangulate a fixed disk subset: the one 2D schedule, shared by
+        the ungated and the gated paths."""
         tracer = get_tracer()
         centers = [
             self.registry.get(epc).disk.center.horizontal() for epc in epcs
@@ -620,7 +595,8 @@ class TagspinSystem:
         all_series: Dict[str, List[SnapshotSeries]],
         enhanced: Optional[bool],
     ) -> Fix3D:
-        """Fuse a fixed horizontal-disk subset (the clean locate_3d core)."""
+        """Fuse a fixed horizontal-disk subset: the one 3D schedule, shared
+        by the ungated and the gated paths."""
         tracer = get_tracer()
         centers = [self.registry.get(epc).disk.center for epc in epcs]
         locator = TagspinLocator3D(
@@ -681,30 +657,7 @@ class TagspinSystem:
         all_series = {
             epc: self.extract_series(batch, epc, antenna_port) for epc in epcs
         }
-        centers = [self.registry.get(epc).disk.center for epc in horizontal]
-        locator = TagspinLocator3D(
-            z_min=self.config.z_min,
-            z_max=self.config.z_max,
-            prefer_sign=self.config.prefer_sign,
-        )
-
-        spectra = [self.joint_spectrum(all_series[epc]) for epc in horizontal]
-        fix = locator.locate(centers, spectra)
-
-        if self.config.orientation_calibration and any(
-            self.registry.get(epc).orientation_profile is not None
-            for epc in horizontal
-        ):
-            refined = []
-            for epc in horizontal:
-                record = self.registry.get(epc)
-                corrected = [
-                    self._orientation_corrected(record, s, fix.position)
-                    for s in all_series[epc]
-                ]
-                refined.append(self.joint_spectrum(corrected))
-            fix = locator.locate(centers, refined)
-
+        fix = self._locate_3d_from(horizontal, all_series, enhanced=None)
         if vertical:
             fix = self._resolve_with_vertical(fix, vertical[0], all_series)
         return fix

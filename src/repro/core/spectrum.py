@@ -226,8 +226,8 @@ def power_from_residuals(
     ``sigma=None`` computes the traditional coherent mean ``Q`` (Eqn 7);
     a positive ``sigma`` computes the enhanced likelihood-weighted profile
     ``R`` (Definition 4.1).  This is the single arithmetic kernel shared by
-    the reference profiles and :mod:`repro.perf`'s batched engine, so both
-    paths are bit-for-bit identical by construction.  Input dtype is
+    the reference profiles and :mod:`repro.perf`'s dense fallbacks and
+    refinement ladders.  Input dtype is
     validated: complex arrays raise :class:`repro.errors.DTypeError` and
     lower-precision real arrays are upcast to float64.
     """
@@ -385,9 +385,9 @@ def refine_joint_peak(
     coarse steps on each side at ``oversample`` times the coarse density,
     followed by parabolic interpolation — giving sub-grid peaks without
     paying for a globally fine grid.  ``power_fn(series, azimuths, polars,
-    sigma)`` overrides the grid evaluator (the batched engine injects its
-    cached whole-grid kernel); it must be arithmetically identical to
-    :func:`_joint_power`.
+    sigma)`` overrides the grid evaluator (the harmonic engine injects its
+    FFT kernel); it must agree with :func:`_joint_power` within the
+    engines' 1e-9 budget.
     """
     fine_azimuths = coarse_azimuth + np.linspace(
         -window * azimuth_step, window * azimuth_step,
@@ -520,7 +520,7 @@ def combine_joint_spectra(spectra: Sequence[JointSpectrum]) -> JointSpectrum:
     plain for polar — exactly the fusion the pipeline applies to the
     3D/joint paths.  All spectra must share the grids of the first
     (consumers pass one engine's outputs, which guarantees this); the
-    fused grids are the first spectrum's, so adaptive engines' coarse
+    fused grids are the first spectrum's, so the adaptive engine's coarse
     grids survive fusion undistorted.
     """
     if not spectra:

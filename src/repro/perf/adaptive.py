@@ -8,37 +8,40 @@ with a multi-resolution search, the standard escape hatch in phase-based
 RFID positioning (variant-maximum-likelihood grid shrinking, particle
 region narrowing):
 
-1. **Coarse pass** — evaluate a subsampled grid (``coarse_factor`` times
-   sparser than requested, never below ``min_coarse_points``) through
-   the dense engine, whose steering memo serves the fix's repeated
-   passes over coarse grids exactly like dense ones.
-2. **Basin selection** — keep the ``top_k`` local maxima of the coarse
+1. **Coarse pass** — evaluate a subsampled grid (``COARSE_FACTOR`` times
+   sparser than requested, never below ``MIN_COARSE_*_POINTS``) through
+   the dense :class:`~repro.perf.harmonic.HarmonicEngine`, whose
+   steering memo serves the fix's repeated passes over coarse grids
+   exactly like dense ones; coarse full-circle grids stay uniform, so
+   they stay on its FFT path (exact alias folding).
+2. **Basin selection** — keep the ``TOP_K`` local maxima of the coarse
    profile as candidate basins; side lobes that out-power the true peak
    at coarse resolution are refined too, so the winner is decided at
    fine resolution, not coarse.
 3. **Ladder refinement** — around each basin, evaluate a local grid of
-   ``2 * refine_factor + 1`` points spanning one coarse step, re-center
-   on its argmax, shrink the span by ``refine_factor`` and repeat until
+   ``2 * REFINE_FACTOR + 1`` points spanning one coarse step, re-center
+   on its argmax, shrink the span by ``REFINE_FACTOR`` and repeat until
    the local spacing drops below ``tolerance``; a final parabolic
    interpolation polishes the peak below the last spacing.
 4. **Flatness guard** — when the coarse profile is too flat
    (:func:`~repro.core.spectrum.peak_sharpness` below
-   ``min_sharpness``) basin selection cannot be trusted, and the engine
-   falls back to the dense :class:`BatchedEngine` on the full requested
-   grid.  Multipath-saturated or jammed traces therefore degrade to the
-   reference answer, never to a wrong basin.
+   ``MIN_SHARPNESS``) basin selection cannot be trusted, and the engine
+   falls back to its dense harmonic stage on the full requested grid.
+   Multipath-saturated or jammed traces therefore degrade to the dense
+   answer (within 1e-9 of the reference), never to a wrong basin.
 
 Per-fix cost drops from ``O(grid)`` steering columns to
-``O(grid / coarse_factor + top_k * log_refine(coarse_step / tolerance))``.
-Finished spectra are memoized for the fix (:mod:`repro.perf.cache`): the
-pipeline's triangulation pass and the health monitor's check re-read the
-scoring pass's spectra instead of running the ladder again.
+``O(grid / COARSE_FACTOR + TOP_K * log_refine(coarse_step / tolerance))``.
+Finished spectra are memoized for the fix (:mod:`repro.perf.cache`), with
+their power arrays read-only: the pipeline's triangulation pass and the
+health monitor's check re-read the scoring pass's spectra instead of
+running the ladder again.
 
 Accuracy contract: the refined peak is within ``tolerance`` radians of
 the dense-grid reference peak (``tests/perf/test_adaptive_engine.py``
-enforces this on the clean / pi-slip / multipath golden traces and on
-randomized series), and the returned power samples *are* the coarse
-grid's — consumers that need dense power arrays should use the batched
+enforces this on the clean / pi-slip / multipath golden traces), and the
+returned power samples *are* the coarse
+grid's — consumers that need dense power arrays should use the harmonic
 engine.  Spectra returned by this engine carry the coarse grid in
 ``azimuth_grid`` / ``polar_grid``, so grid-compatibility checks keep
 working.
@@ -46,7 +49,6 @@ working.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,10 +66,15 @@ from repro.core.spectrum import (
     power_from_residuals,
 )
 from repro.obs.metrics import get_registry
-from repro.perf.batched import BatchedEngine
-from repro.perf.cache import ScopedCache, quantize_array, quantize_scalar
+from repro.perf.cache import (
+    ScopedCache,
+    grid_key,
+    quantize_array,
+    quantize_scalar,
+    series_geometry_key,
+)
 from repro.perf.engine import SpectrumEngine
-from repro.perf.steering import grid_key, series_geometry_key
+from repro.perf.harmonic import HarmonicEngine
 
 
 def _count_fallback(kind: str) -> None:
@@ -83,24 +90,25 @@ def _count_fallback(kind: str) -> None:
 #: Default angular tolerance of the refined peak [rad] (~0.057 deg).
 DEFAULT_TOLERANCE_RAD = 1e-3
 
-#: Default coarse-grid subsampling factor.
-DEFAULT_COARSE_FACTOR = 8
+#: Coarse-grid subsampling factor.
+COARSE_FACTOR = 8
 
-#: Default number of candidate basins refined per spectrum.
-DEFAULT_TOP_K = 3
+#: Candidate basins refined per spectrum.
+TOP_K = 3
 
-#: Default span-shrink factor per refinement level.
-DEFAULT_REFINE_FACTOR = 4
+#: Span-shrink factor per refinement level; each level evaluates
+#: ``2 * REFINE_FACTOR + 1`` points per basin.
+REFINE_FACTOR = 4
 
-#: Default peak-sharpness floor below which the coarse profile is
-#: considered too flat for basin selection and the dense engine runs.
-DEFAULT_MIN_SHARPNESS = 1.5
+#: Peak-sharpness floor below which the coarse profile is considered too
+#: flat for basin selection and the dense engine runs.
+MIN_SHARPNESS = 1.5
 
 #: Basins whose coarse power falls below this fraction of the best
 #: basin's are pruned before refinement.  Coarse sampling underestimates
 #: a basin's true peak by only a few percent (the lobes are several
 #: coarse cells wide), so 0.8 keeps every plausible winner.
-DEFAULT_BASIN_PRUNE = 0.8
+BASIN_PRUNE = 0.8
 
 #: Coarse grids are never subsampled below this many azimuth points.
 MIN_COARSE_AZIMUTH_POINTS = 24
@@ -108,74 +116,31 @@ MIN_COARSE_AZIMUTH_POINTS = 24
 #: Coarse grids are never subsampled below this many polar points.
 MIN_COARSE_POLAR_POINTS = 9
 
-
-@lru_cache(maxsize=16)
-def _refine_offsets(refine_factor: int) -> np.ndarray:
-    """Ladder offsets in units of the current span, shared read-only.
-
-    Every engine with the same ``refine_factor`` reuses one array, so
-    building an engine (once per deployment incarnation) costs no
-    ``linspace``.
-    """
-    offsets = np.linspace(-1.0, 1.0, 2 * refine_factor + 1)
-    offsets.flags.writeable = False
-    return offsets
+#: Ladder offsets in units of the current span, read-only and shared by
+#: every engine.
+REFINE_OFFSETS = np.linspace(-1.0, 1.0, 2 * REFINE_FACTOR + 1)
+REFINE_OFFSETS.flags.writeable = False
 
 
 class AdaptiveEngine(SpectrumEngine):
-    """Multi-resolution coarse-to-fine spectrum engine.
+    """Multi-resolution coarse-to-fine spectrum engine over a dense
+    :class:`~repro.perf.harmonic.HarmonicEngine` stage — the fleet's
+    serving engine, ``create_engine("adaptive-harmonic")``.
 
     Parameters
     ----------
     tolerance : angular tolerance of the refined peak [rad]; the peak is
         within this of the dense-grid reference peak.
-    coarse_factor : subsampling factor of the coarse pass.
-    top_k : candidate basins refined per spectrum.
-    refine_factor : span shrink per refinement level; each level
-        evaluates ``2 * refine_factor + 1`` points per basin.
-    min_sharpness : :func:`peak_sharpness` floor of the coarse profile;
-        flatter profiles fall back to the dense engine.
-    basin_prune : basins below this fraction of the best basin's coarse
-        power are not refined.
-    dense : the dense engine used for coarse passes and the flat-profile
-        fallback (default: a fresh :class:`BatchedEngine`; pass a
-        :class:`~repro.perf.harmonic.HarmonicEngine` to get
-        ``create_engine("adaptive-harmonic")``'s composition, whose
-        coarse full-circle grids stay on the FFT path via exact alias
-        folding).  Any engine exposing the ``_joint_power`` hook works.
     """
 
-    name = "adaptive"
+    name = "adaptive-harmonic"
 
-    def __init__(
-        self,
-        tolerance: float = DEFAULT_TOLERANCE_RAD,
-        coarse_factor: int = DEFAULT_COARSE_FACTOR,
-        top_k: int = DEFAULT_TOP_K,
-        refine_factor: int = DEFAULT_REFINE_FACTOR,
-        min_sharpness: float = DEFAULT_MIN_SHARPNESS,
-        basin_prune: float = DEFAULT_BASIN_PRUNE,
-        dense: Optional[SpectrumEngine] = None,
-    ) -> None:
+    def __init__(self, tolerance: float = DEFAULT_TOLERANCE_RAD) -> None:
         if not np.isfinite(tolerance) or tolerance <= 0:
             raise ValueError("tolerance must be positive and finite")
-        if coarse_factor < 1:
-            raise ValueError("coarse_factor must be positive")
-        if top_k < 1:
-            raise ValueError("top_k must be positive")
-        if refine_factor < 2:
-            raise ValueError("refine_factor must be at least 2")
-        if not 0.0 < basin_prune <= 1.0:
-            raise ValueError("basin_prune must be in (0, 1]")
-        self.basin_prune = float(basin_prune)
         self.tolerance = float(tolerance)
-        self.coarse_factor = int(coarse_factor)
-        self.top_k = int(top_k)
-        self.refine_factor = int(refine_factor)
-        self.min_sharpness = float(min_sharpness)
-        self._dense = dense if dense is not None else BatchedEngine()
+        self._dense = HarmonicEngine()
         self._spectra = ScopedCache()
-        self._offsets = _refine_offsets(self.refine_factor)
         self.dense_fallbacks = 0
         self.refinements = 0
 
@@ -186,7 +151,7 @@ class AdaptiveEngine(SpectrumEngine):
         """Subsampling factor; 1 when subsampling gains nothing."""
         if grid.size < 2 * min_points:
             return 1
-        return max(1, min(self.coarse_factor, grid.size // min_points))
+        return max(1, min(COARSE_FACTOR, grid.size // min_points))
 
     def _coarse(self, grid: np.ndarray, min_points: int) -> Optional[np.ndarray]:
         """Subsampled grid, or ``None`` when subsampling gains nothing."""
@@ -270,7 +235,7 @@ class AdaptiveEngine(SpectrumEngine):
     # Basin selection
     # ------------------------------------------------------------------
     def _azimuth_basins(self, power: np.ndarray) -> np.ndarray:
-        """Indices of the ``top_k`` circular local maxima, best first.
+        """Indices of the ``TOP_K`` circular local maxima, best first.
 
         Basins far below the best basin's coarse power cannot win after
         refinement (coarse sampling only underestimates a wide lobe by a
@@ -282,8 +247,8 @@ class AdaptiveEngine(SpectrumEngine):
         if candidates.size == 0:
             candidates = np.array([int(np.argmax(power))])
         order = np.argsort(power[candidates])[::-1]
-        kept = candidates[order[: self.top_k]]
-        floor = self.basin_prune * float(power[kept[0]])
+        kept = candidates[order[:TOP_K]]
+        floor = BASIN_PRUNE * float(power[kept[0]])
         return kept[power[kept] >= floor]
 
     def _joint_basins(self, power: np.ndarray) -> List[Tuple[int, int]]:
@@ -299,8 +264,8 @@ class AdaptiveEngine(SpectrumEngine):
         if rows.size == 0:
             row, col = np.unravel_index(int(np.argmax(power)), power.shape)
             return [(int(row), int(col))]
-        order = np.argsort(power[rows, cols])[::-1][: self.top_k]
-        floor = self.basin_prune * float(power[rows[order[0]], cols[order[0]]])
+        order = np.argsort(power[rows, cols])[::-1][:TOP_K]
+        floor = BASIN_PRUNE * float(power[rows[order[0]], cols[order[0]]])
         return [
             (int(rows[i]), int(cols[i]))
             for i in order
@@ -321,7 +286,7 @@ class AdaptiveEngine(SpectrumEngine):
 
         Every level evaluates each basin's local grid (one stacked power
         call across basins), re-centers on the local argmax and shrinks
-        the span by ``refine_factor`` until the spacing is below
+        the span by ``REFINE_FACTOR`` until the spacing is below
         ``tolerance``; a parabolic fit on the final local grid gives the
         sub-spacing peak.
         """
@@ -329,20 +294,20 @@ class AdaptiveEngine(SpectrumEngine):
         centers = np.asarray(centers, dtype=float)
         rows = np.arange(centers.size)
         while True:
-            grids = centers[:, np.newaxis] + step * self._offsets
+            grids = centers[:, np.newaxis] + step * REFINE_OFFSETS
             power = self._mean_azimuth_power(
                 series_list, grids.ravel(), sigma
             ).reshape(grids.shape)
             best = np.argmax(power, axis=1)
             centers = grids[rows, best]
-            # Stop once the current spacing is within refine_factor of the
+            # Stop once the current spacing is within REFINE_FACTOR of the
             # tolerance: the closing parabolic fit reduces the error by
             # far more than one extra ladder level would (measured ~1/14
-            # of the spacing on the golden traces; the property tests
-            # enforce the tolerance contract end to end).
-            if step <= self.tolerance * self.refine_factor**2:
+            # of the spacing on the golden traces, whose tests enforce
+            # the tolerance contract end to end).
+            if step <= self.tolerance * REFINE_FACTOR**2:
                 break
-            step /= self.refine_factor
+            step /= REFINE_FACTOR
         peaks = [
             _refine_peak_clamped(grids[i], power[i]) for i in rows
         ]
@@ -367,23 +332,20 @@ class AdaptiveEngine(SpectrumEngine):
         """
         self.refinements += 1
         while True:
-            azimuths = azimuth + azimuth_step * self._offsets
+            azimuths = azimuth + azimuth_step * REFINE_OFFSETS
             polars = np.clip(
-                polar + polar_step * self._offsets, -np.pi / 2.0, np.pi / 2.0
+                polar + polar_step * REFINE_OFFSETS, -np.pi / 2.0, np.pi / 2.0
             )
             power = self._mean_joint_power(series_list, azimuths, polars, sigma)
             row, col = np.unravel_index(int(np.argmax(power)), power.shape)
             azimuth = float(azimuths[col])
             polar = float(polars[row])
             # Same early stop as the azimuth ladder: the closing parabola
-            # covers the last refine_factor of spacing.
-            if (
-                max(azimuth_step, polar_step)
-                <= self.tolerance * self.refine_factor**2
-            ):
+            # covers the last REFINE_FACTOR of spacing.
+            if max(azimuth_step, polar_step) <= self.tolerance * REFINE_FACTOR**2:
                 break
-            azimuth_step /= self.refine_factor
-            polar_step /= self.refine_factor
+            azimuth_step /= REFINE_FACTOR
+            polar_step /= REFINE_FACTOR
         azimuth, _ = _refine_peak_clamped(azimuths, power[row])
         polar, peak_power = _refine_peak_clamped(polars, power[:, col])
         return float(np.mod(azimuth, 2.0 * np.pi)), float(polar), float(peak_power)
@@ -398,7 +360,7 @@ class AdaptiveEngine(SpectrumEngine):
             # The sharpness window covers the whole coarse grid: too few
             # points to judge the profile shape — refuse to trust basins.
             return True
-        return sharpness < self.min_sharpness
+        return sharpness < MIN_SHARPNESS
 
     def _sigma_key(self, sigma: Optional[float]) -> Hashable:
         return None if sigma is None else quantize_scalar(sigma)
@@ -468,6 +430,7 @@ class AdaptiveEngine(SpectrumEngine):
                 spectrum = AngleSpectrum(
                     coarse.azimuth_grid, coarse.power, peak_azimuth, peak_power
                 )
+        spectrum.power.setflags(write=False)
         self._spectra.put(cache_key, spectrum)
         return spectrum
 
@@ -515,7 +478,7 @@ class AdaptiveEngine(SpectrumEngine):
             )
             peak = float(np.max(power))
             mean = float(np.mean(power))
-            if peak / max(mean, 1e-12) < self.min_sharpness:
+            if peak / max(mean, 1e-12) < MIN_SHARPNESS:
                 # Dense fallback: trust the dense peak, but keep the
                 # *coarse* power surface so per-channel spectra of one
                 # link always share a grid (the pipeline averages them).
@@ -561,6 +524,7 @@ class AdaptiveEngine(SpectrumEngine):
                     peak_polar=peak_polar,
                     peak_power=peak_power,
                 )
+        spectrum.power.setflags(write=False)
         self._spectra.put(cache_key, spectrum)
         return spectrum
 
@@ -617,7 +581,7 @@ class AdaptiveEngine(SpectrumEngine):
             power = total / float(len(series_list))
             peak = float(np.max(power))
             mean = float(np.mean(power))
-            if peak / max(mean, 1e-12) < self.min_sharpness:
+            if peak / max(mean, 1e-12) < MIN_SHARPNESS:
                 # Dense fallback: trust the dense fused peak, but keep
                 # the *coarse* mean surface so the spectrum's grids match
                 # what this engine actually evaluated.
@@ -665,6 +629,7 @@ class AdaptiveEngine(SpectrumEngine):
                     peak_polar=peak_polar,
                     peak_power=peak_power,
                 )
+        spectrum.power.setflags(write=False)
         self._spectra.put(cache_key, spectrum)
         return spectrum
 
@@ -679,6 +644,3 @@ class AdaptiveEngine(SpectrumEngine):
             "dense_fallbacks": self.dense_fallbacks,
         }
         return stats
-
-    def close(self) -> None:
-        self._dense.close()

@@ -237,14 +237,14 @@ def _equivalence_errors(
 
 
 def _engine_for(name: str, tolerance: Optional[float]) -> SpectrumEngine:
-    if name in ("adaptive", "adaptive-harmonic"):
+    if name == "adaptive-harmonic":
         return create_engine(name, tolerance=tolerance)
     return create_engine(name)
 
 
 def run_scenario(
     spec: ScenarioSpec,
-    engines: Sequence[str] = ("reference", "batched", "harmonic"),
+    engines: Sequence[str] = ("reference", "harmonic", "adaptive-harmonic"),
     rounds: int = 3,
     seed: int = 2016,
     sigma: float = BENCH_SIGMA,
@@ -252,8 +252,8 @@ def run_scenario(
 ) -> ScenarioResult:
     """Time every engine over ``rounds`` fixes of one scenario.
 
-    ``tolerance`` configures the adaptive engines' angular tolerance,
-    which is also their verification budget; dense engines are held to
+    ``tolerance`` configures the adaptive engine's angular tolerance,
+    which is also its verification budget; dense engines are held to
     ``DENSE_ERROR_BUDGET`` — or to their own declared ``power_budget``
     when they carry one (the harmonic engine declares 1e-9 but is not
     bit-identical: its FFT-realized steering phasors round differently
@@ -330,7 +330,7 @@ def run_scenario(
 
 def run_engine_scaling(
     scales: Sequence[str] = ("small", "medium", "large"),
-    engines: Sequence[str] = ("reference", "batched", "harmonic"),
+    engines: Sequence[str] = ("reference", "harmonic", "adaptive-harmonic"),
     rounds: int = 3,
     seed: int = 2016,
     snapshots: Optional[int] = None,

@@ -37,6 +37,8 @@ from typing import Any, Hashable, Iterator, Optional
 
 import numpy as np
 
+from repro.core.spectrum import SnapshotSeries
+
 #: Decimals kept when quantizing float inputs into cache keys.
 KEY_DECIMALS = 12
 
@@ -52,6 +54,28 @@ def quantize_array(values: np.ndarray) -> bytes:
     # -0.0 and 0.0 hash to different byte patterns; normalize.
     rounded = rounded + 0.0
     return rounded.tobytes()
+
+
+def series_geometry_key(series: SnapshotSeries) -> Hashable:
+    """Key of everything a series' steering depends on but the grid:
+    sample times, wavelength, disk radius, angular speed, start angle."""
+    return (
+        quantize_array(series.times),
+        quantize_scalar(series.wavelength),
+        quantize_scalar(series.radius),
+        quantize_scalar(series.angular_speed),
+        quantize_scalar(series.phase0),
+    )
+
+
+def grid_key(azimuths: np.ndarray, polar: "np.ndarray | float") -> Hashable:
+    """Key of an (azimuth, polar) candidate grid."""
+    polar_part: Hashable
+    if np.ndim(polar) == 0:
+        polar_part = quantize_scalar(float(polar))
+    else:
+        polar_part = quantize_array(np.asarray(polar))
+    return (quantize_array(azimuths), polar_part)
 
 
 #: The open scope of each thread: one entry table per ScopedCache.

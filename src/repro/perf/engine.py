@@ -3,20 +3,18 @@
 A :class:`SpectrumEngine` turns snapshot series into angle spectra.  The
 localization pipeline (:class:`repro.core.pipeline.TagspinSystem`) calls
 through this interface, so the evaluation strategy — straight per-call
-computation, cached/batched evaluation, FFT evaluation or a
-coarse-to-fine search — is swappable without touching the pipeline:
+computation, FFT evaluation or a coarse-to-fine search — is swappable
+without touching the pipeline:
 
 * :class:`ReferenceEngine` delegates to the original
   :mod:`repro.core.spectrum` functions and is the correctness baseline.
-* :class:`~repro.perf.batched.BatchedEngine` evaluates whole candidate
-  grids in single vectorized passes under a memory budget and memoizes
-  steering matrices, residuals and finished spectra.
 * :class:`~repro.perf.harmonic.HarmonicEngine` evaluates full-circle
   grids by batched inverse FFTs of a Jacobi-Anger expansion and memoizes
   the steering phasors per geometry.
-* :class:`~repro.perf.adaptive.AdaptiveEngine` replaces dense scans with
-  a coarse-to-fine basin search down to a configurable angular
-  tolerance, falling back to its dense engine on flat spectra.
+* :class:`~repro.perf.adaptive.AdaptiveEngine` (``"adaptive-harmonic"``,
+  the serving engine) replaces dense scans with a coarse-to-fine basin
+  search over a harmonic dense stage down to a configurable angular
+  tolerance, falling back to that dense stage on flat spectra.
 
 Engines memoize only for the open fix scope
 (:func:`~repro.perf.cache.fix_scope`): every memo entry is keyed on one
@@ -24,9 +22,8 @@ fix's sample times, so the memo is dropped when the fix ends.
 
 ``sigma=None`` selects the traditional profile ``Q``; a positive
 ``sigma`` selects the enhanced profile ``R`` with that weight width.
-Dense engines must be equivalent to the reference within ``1e-9``
-(``tests/perf`` enforces this; the batched engine is bit-identical by
-construction because it shares the reference's arithmetic kernels).
+The harmonic engine must be equivalent to the reference within ``1e-9``
+(``tests/perf`` enforces this).
 The adaptive engine relaxes only the *peak*: it is within its
 configured angular ``tolerance`` of the dense peak, and its power
 samples live on the coarse grid it actually evaluated.
@@ -178,7 +175,7 @@ class ReferenceEngine(SpectrumEngine):
 
     Every call rebuilds the steering geometry from scratch and walks the
     joint grid in small fixed chunks — exactly the seed behavior.  This is
-    the baseline the batched engine is benchmarked and verified against.
+    the baseline the other engines are benchmarked and verified against.
     """
 
     name = "reference"
@@ -217,56 +214,40 @@ def create_engine(
 ) -> SpectrumEngine:
     """Resolve an ``engine=`` argument into a :class:`SpectrumEngine`.
 
-    ``None`` and ``"reference"`` give the reference engine, ``"batched"``
-    the memoizing vectorized engine, ``"harmonic"`` the Jacobi-Anger/FFT
-    engine, ``"adaptive"`` the coarse-to-fine solver over a batched
-    dense stage and ``"adaptive-harmonic"`` the same solver with the
-    harmonic engine as its dense stage.  Instances pass through
-    unchanged.
+    ``None`` and ``"reference"`` give the reference engine,
+    ``"harmonic"`` the Jacobi-Anger/FFT engine and
+    ``"adaptive-harmonic"`` the coarse-to-fine solver over a harmonic
+    dense stage.  Instances pass through unchanged.
 
-    ``tolerance`` sets the adaptive engines' angular tolerance [rad]; it
-    is only meaningful with ``spec="adaptive"`` /
-    ``"adaptive-harmonic"`` and rejected elsewhere so a silently ignored
-    accuracy knob can't masquerade as honored.
+    ``tolerance`` sets the adaptive engine's angular tolerance [rad]; it
+    is only meaningful with ``spec="adaptive-harmonic"`` and rejected
+    elsewhere so a silently ignored accuracy knob can't masquerade as
+    honored.
     """
     if isinstance(spec, str):
         normalized: Optional[str] = spec.strip().lower()
     else:
         normalized = None
-    if tolerance is not None and normalized not in (
-        "adaptive",
-        "adaptive-harmonic",
-    ):
+    if tolerance is not None and normalized != "adaptive-harmonic":
         raise ValueError(
-            "tolerance is only supported by the 'adaptive' and "
-            "'adaptive-harmonic' engines"
+            "tolerance is only supported by the 'adaptive-harmonic' engine"
         )
     if spec is None:
         return ReferenceEngine()
     if isinstance(spec, SpectrumEngine):
         return spec
     from repro.perf.adaptive import AdaptiveEngine
-    from repro.perf.batched import BatchedEngine
     from repro.perf.harmonic import HarmonicEngine
 
     if normalized == "reference":
         return ReferenceEngine()
-    if normalized == "batched":
-        return BatchedEngine()
-    if normalized in ("adaptive", "adaptive-harmonic"):
-        dense = HarmonicEngine() if normalized == "adaptive-harmonic" else None
-        kwargs = {} if tolerance is None else {"tolerance": tolerance}
-        if dense is not None:
-            kwargs["dense"] = dense
-        engine = AdaptiveEngine(**kwargs)
-        if normalized == "adaptive-harmonic":
-            engine.name = "adaptive-harmonic"
-        return engine
     if normalized == "harmonic":
         return HarmonicEngine()
+    if normalized == "adaptive-harmonic":
+        return AdaptiveEngine() if tolerance is None else AdaptiveEngine(tolerance)
     raise ValueError(
         f"unknown spectrum engine {spec!r}; expected 'reference', "
-        f"'batched', 'adaptive', 'harmonic' or 'adaptive-harmonic'"
+        f"'harmonic' or 'adaptive-harmonic'"
     )
 
 

@@ -17,9 +17,9 @@ exp(-1j c_i(phi_k))`` is then one batch of length-``M`` inverse FFTs of
 the folded coefficient table — O(snapshots * H + grid log grid) instead
 of the dense engines' O(grid * snapshots) trigonometric steering
 product.  ``S`` is measured-phase-independent, so it is memoized per
-(series geometry, grid) for the fix (:mod:`repro.perf.cache`) — the
-harmonic analogue of the batched engine's steering memo — and the fix's
-orientation-corrected pass (same geometry, new phases) costs no FFT:
+(series geometry, grid) for the fix (:mod:`repro.perf.cache`), and the
+fix's orientation-corrected pass (same geometry, new phases) costs no
+FFT:
 
 * **Q profile** — ``|phasor @ S| / N`` with ``phasor = exp(1j m)``: a
   single BLAS vector-matrix product on a memo hit, a single-row FFT of
@@ -52,11 +52,11 @@ Cross-series batching: :meth:`HarmonicEngine.evaluate_many` stacks every
 series whose steering phasors the fix has not built yet into shared
 inverse-FFT chunks (bounded by ``fft_block_elements``; one giant pass
 thrashes caches), and :meth:`fused_azimuth_spectra` exposes that to the
-pipeline's multi-disk scoring loop.  The adaptive engine composes too:
-its coarse grids are strided views of full-circle grids, which stay
-uniform-circular, and the coefficient fold keeps aliased small grids
-exact — pass ``dense=HarmonicEngine()`` (or use
-``create_engine("adaptive-harmonic")``).
+pipeline's multi-disk scoring loop.  The adaptive engine
+(``create_engine("adaptive-harmonic")``) uses this engine as its dense
+stage: its coarse grids are strided views of full-circle grids, which
+stay uniform-circular, and the coefficient fold keeps aliased small
+grids exact.
 """
 
 from __future__ import annotations
@@ -80,9 +80,8 @@ from repro.core.spectrum import (
 )
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, get_registry
 from repro.obs.trace import get_tracer
-from repro.perf.cache import ScopedCache
+from repro.perf.cache import ScopedCache, grid_key, series_geometry_key
 from repro.perf.engine import SpectrumEngine
-from repro.perf.steering import grid_key, series_geometry_key
 
 TWO_PI = 2.0 * np.pi
 

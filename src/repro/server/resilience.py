@@ -124,8 +124,7 @@ class ResilientLocalizationServer(LocalizationServer):
         pipeline's repeated passes (scoring, triangulation, R-to-Q
         fallback) and the monitor only need spectrum peaks, which its
         coarse-to-fine search finds over harmonic tables built once per
-        fix.  ``"batched"`` and ``"harmonic"`` keep dense power
-        surfaces.
+        fix.  ``"harmonic"`` keeps dense power surfaces.
     """
 
     def __init__(

@@ -1,12 +1,12 @@
 """Adaptive-engine correctness: tolerance contract, fallback, plumbing.
 
-The coarse-to-fine engine trades dense power arrays for speed but must
-keep its *peak* within the configured angular tolerance of the
-dense-grid reference peak — on the recorded golden traces (clean,
-pi-slip, multipath), on the fused multi-channel objective, on the joint
-(azimuth x polar) search, and on randomized synthetic series (the
-hypothesis suite, marked slow).  A flat spectrum must trigger the dense
-fallback instead of trusting meaningless basins.
+The coarse-to-fine engine — the serving engine, over its harmonic dense
+stage — trades dense power arrays for speed but must keep its *peak*
+within the configured angular tolerance of the dense-grid reference
+peak: on the recorded golden traces (clean, pi-slip, multipath), on the
+fused multi-channel objective and on the joint (azimuth x polar) search.
+A flat spectrum must trigger the dense fallback instead of trusting
+meaningless basins.
 """
 
 from __future__ import annotations
@@ -26,17 +26,31 @@ from repro.core.spectrum import (
 )
 from repro.perf import (
     AdaptiveEngine,
-    BatchedEngine,
+    HarmonicEngine,
     ReferenceEngine,
     create_engine,
     fix_scope,
 )
+from repro.perf.adaptive import REFINE_FACTOR, REFINE_OFFSETS, TOP_K
 
 TOLERANCE = 1e-3  # rad; the engine default the acceptance gate uses
+#: The dense stage's budget against the reference.
+DENSE_BUDGET = HarmonicEngine.power_budget
 
 
 def _angular_error(a: float, b: float) -> float:
     return abs(float(wrap_phase_signed(a - b)))
+
+
+def _assert_dense_answer(spectrum, series, grid, sigma) -> None:
+    """``spectrum`` is exactly a fresh dense stage's answer on the same
+    call, and within the dense budget of the reference's."""
+    dense = HarmonicEngine().azimuth_spectrum(series, grid, sigma)
+    assert np.array_equal(spectrum.power, dense.power)
+    assert spectrum.peak_azimuth == dense.peak_azimuth
+    reference = ReferenceEngine().azimuth_spectrum(series, grid, sigma)
+    assert np.max(np.abs(spectrum.power - reference.power)) <= DENSE_BUDGET
+    assert abs(spectrum.peak_azimuth - reference.peak_azimuth) <= DENSE_BUDGET
 
 
 def _flat_series(n: int = 24) -> SnapshotSeries:
@@ -150,7 +164,7 @@ class TestGoldenTolerance:
             )
             ladders = engine.refinements - before
         # One ladder per basin, never one per channel.
-        assert 0 < ladders <= engine.top_k
+        assert 0 < ladders <= TOP_K
         # The fused ladder interpolates between dense samples, so allow
         # one dense grid step on top of the configured tolerance.
         assert _angular_error(
@@ -175,13 +189,10 @@ class TestFlatSpectrumFallback:
             stats = engine.cache_stats()["adaptive"]
         assert stats["dense_fallbacks"] == 1
         # The fallback answered with the full dense grid, so the result
-        # is exactly the batched/reference spectrum.
+        # is exactly the dense stage's spectrum, within its budget of the
+        # reference.
         assert spectrum.power.shape == grid.shape
-        expected = ReferenceEngine().azimuth_spectrum(
-            series, grid, RELATIVE_PHASE_STD_RAD
-        )
-        assert np.array_equal(spectrum.power, expected.power)
-        assert spectrum.peak_azimuth == expected.peak_azimuth
+        _assert_dense_answer(spectrum, series, grid, RELATIVE_PHASE_STD_RAD)
 
     def test_sharp_spectrum_does_not_fall_back(self):
         grid = default_azimuth_grid(np.deg2rad(0.5))
@@ -216,38 +227,31 @@ class TestFlatSpectrumFallback:
 
 class TestEnginePlumbing:
     def test_create_engine_adaptive(self):
-        engine = create_engine("adaptive")
+        engine = create_engine("adaptive-harmonic")
         assert isinstance(engine, AdaptiveEngine)
-        assert engine.name == "adaptive"
+        assert engine.name == "adaptive-harmonic"
         assert engine.tolerance == pytest.approx(1e-3)
 
     def test_create_engine_adaptive_tolerance(self):
-        engine = create_engine("adaptive", tolerance=5e-4)
+        engine = create_engine("adaptive-harmonic", tolerance=5e-4)
         assert engine.tolerance == pytest.approx(5e-4)
 
     def test_tolerance_rejected_for_other_engines(self):
         with pytest.raises(ValueError):
-            create_engine("batched", tolerance=1e-3)
+            create_engine("harmonic", tolerance=1e-3)
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveEngine(tolerance=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveEngine(refine_factor=1)
-        with pytest.raises(ValueError):
-            AdaptiveEngine(basin_prune=0.0)
+        for tolerance in (0.0, -1e-3, float("inf")):
+            with pytest.raises(ValueError):
+                AdaptiveEngine(tolerance=tolerance)
 
     def test_refinement_offsets_shared_read_only(self):
-        """Engines share one read-only offsets array per refine_factor,
-        equal bit for bit to the linspace it replaces."""
-        first, second = AdaptiveEngine(), AdaptiveEngine()
-        assert first._offsets is second._offsets
-        assert not first._offsets.flags.writeable
-        for refine_factor in (2, 4, 7):
-            offsets = AdaptiveEngine(refine_factor=refine_factor)._offsets
-            assert np.array_equal(
-                offsets, np.linspace(-1.0, 1.0, 2 * refine_factor + 1)
-            )
+        """The ladder offsets are one read-only module array, equal bit
+        for bit to the linspace it replaces."""
+        assert not REFINE_OFFSETS.flags.writeable
+        assert np.array_equal(
+            REFINE_OFFSETS, np.linspace(-1.0, 1.0, 2 * REFINE_FACTOR + 1)
+        )
 
     def test_repeated_call_serves_cached_spectrum(self):
         grid = default_azimuth_grid(np.deg2rad(0.5))
@@ -264,11 +268,9 @@ class TestEnginePlumbing:
         """Grids too small to subsample get the dense answer verbatim."""
         grid = default_azimuth_grid(np.deg2rad(10.0))  # 36 points
         series = make_series(azimuth=1.2, noise_std=0.05, seed=5)
-        expected = BatchedEngine().azimuth_spectrum(series, grid, 0.14)
         with AdaptiveEngine() as engine:
             actual = engine.azimuth_spectrum(series, grid, 0.14)
-        assert np.array_equal(actual.power, expected.power)
-        assert actual.peak_azimuth == expected.peak_azimuth
+        _assert_dense_answer(actual, series, grid, 0.14)
 
     def test_pipeline_fix_close_to_reference(self):
         """End to end: an adaptive-engine fix lands within the angular
@@ -288,7 +290,7 @@ class TestEnginePlumbing:
             return system.locate_2d(batch, 1)
 
         expected = fix("reference")
-        actual = fix("adaptive")
+        actual = fix("adaptive-harmonic")
         # 1e-3 rad at the few-meter ranges of the default scene is
         # millimeters of bearing-induced displacement; allow 1 cm.
         assert actual.position.distance_to(expected.position) < 0.01

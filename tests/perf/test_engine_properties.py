@@ -1,16 +1,19 @@
-"""Property tests: engine equivalence and cache correctness.
+"""Property tests: engine equivalence and memo correctness.
 
 Randomized :class:`SnapshotSeries` — including the 3-snapshot minimum,
 non-uniform (even duplicate) timestamps, and windows covering less than
-one rotation — must produce *bit-identical* spectra from the batched
-engine, because it shares the reference implementation's arithmetic
-kernels.  The cache tests pin the hit/miss semantics the speedup relies
-on inside one fix scope: repeats hit, changed phases reuse steering but
-recompute spectra, changed grids miss everything, and quantization only
-merges inputs that agree far below the equivalence tolerance.
+one rotation — must produce harmonic-engine spectra within its
+``power_budget`` of the reference.  The memo tests pin the hit/miss
+semantics the speedup relies on inside one fix scope: the adaptive
+engine's spectra memo returns the same object on a repeat, changed
+phases reuse the harmonic steering phasors, changed grids miss them, and
+quantization only merges inputs that agree far below the equivalence
+budget.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,13 +26,14 @@ from repro.core.spectrum import (
     default_polar_grid,
 )
 from repro.errors import InsufficientDataError
-from repro.perf import BatchedEngine, ReferenceEngine, fix_scope
+from repro.perf import HarmonicEngine, ReferenceEngine, create_engine, fix_scope
 
 # Hypothesis-heavy perf suite: runs in the dedicated CI slow job.
 pytestmark = pytest.mark.slow
 
 AZIMUTH_GRID = default_azimuth_grid(np.deg2rad(5.0))
 POLAR_GRID = default_polar_grid(np.deg2rad(15.0))
+BUDGET = HarmonicEngine.power_budget
 
 _unit_floats = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -60,55 +64,51 @@ def snapshot_series(draw, min_snapshots=3, max_snapshots=24):
     )
 
 
+def _assert_within_budget(expected, actual):
+    """Azimuth profiles and peak powers agree within the harmonic budget.
+
+    Peak *positions* are not compared: noise-only series often have
+    mirror-symmetric profiles whose twin maxima tie to the last bits, so
+    rounding alone decides which twin wins (by up to pi), while the peak
+    power is the same.  The golden traces compare peak positions.
+    """
+    assert np.max(np.abs(expected.power - actual.power)) <= BUDGET
+    assert abs(expected.peak_power - actual.peak_power) <= BUDGET
+
+
 class TestEngineEquivalenceProperties:
     @given(series=snapshot_series(), sigma=st.sampled_from([None, 0.1, 0.3]))
     @settings(max_examples=40, deadline=None)
-    def test_azimuth_spectrum_bit_identical(self, series, sigma):
+    def test_azimuth_spectrum_within_budget(self, series, sigma):
         expected = ReferenceEngine().azimuth_spectrum(
             series, AZIMUTH_GRID, sigma
         )
-        with BatchedEngine() as engine:
-            actual = engine.azimuth_spectrum(series, AZIMUTH_GRID, sigma)
-        assert np.array_equal(expected.power, actual.power)
-        assert expected.peak_azimuth == actual.peak_azimuth
-        assert expected.peak_power == actual.peak_power
+        actual = HarmonicEngine().azimuth_spectrum(series, AZIMUTH_GRID, sigma)
+        _assert_within_budget(expected, actual)
 
     @given(series=snapshot_series(max_snapshots=12),
            sigma=st.sampled_from([None, 0.14]))
     @settings(max_examples=15, deadline=None)
-    def test_joint_spectrum_bit_identical(self, series, sigma):
+    def test_joint_spectrum_within_budget(self, series, sigma):
         expected = ReferenceEngine().joint_spectrum(
             series, AZIMUTH_GRID, POLAR_GRID, sigma
         )
-        with BatchedEngine() as engine:
-            actual = engine.joint_spectrum(
-                series, AZIMUTH_GRID, POLAR_GRID, sigma
-            )
-        assert np.array_equal(expected.power, actual.power)
-        assert expected.peak_azimuth == actual.peak_azimuth
-        assert expected.peak_polar == actual.peak_polar
+        actual = HarmonicEngine().joint_spectrum(
+            series, AZIMUTH_GRID, POLAR_GRID, sigma
+        )
+        # Only the surface: the polar rows at +/-pi/2 (cos = 0) are
+        # constant, so when one holds the maximum every azimuth ties and
+        # rounding picks where the local refinement starts, which moves
+        # the refined peak.  The golden traces compare joint peaks.
+        assert np.max(np.abs(expected.power - actual.power)) <= BUDGET
 
     @given(series=snapshot_series(min_snapshots=3, max_snapshots=3))
     @settings(max_examples=15, deadline=None)
     def test_three_snapshot_minimum_supported(self, series):
         """The legal minimum series size works and stays equivalent."""
         expected = ReferenceEngine().azimuth_spectrum(series, AZIMUTH_GRID, 0.2)
-        with BatchedEngine() as engine:
-            actual = engine.azimuth_spectrum(series, AZIMUTH_GRID, 0.2)
-        assert np.array_equal(expected.power, actual.power)
-
-    @given(series=snapshot_series())
-    @settings(max_examples=10, deadline=None)
-    def test_streaming_path_bit_identical(self, series):
-        """A tiny block budget forces the uncached streaming fallback."""
-        expected = ReferenceEngine().joint_spectrum(
-            series, AZIMUTH_GRID, POLAR_GRID, 0.14
-        )
-        with BatchedEngine(max_block_elements=64) as engine:
-            actual = engine.joint_spectrum(
-                series, AZIMUTH_GRID, POLAR_GRID, 0.14
-            )
-        assert np.array_equal(expected.power, actual.power)
+        actual = HarmonicEngine().azimuth_spectrum(series, AZIMUTH_GRID, 0.2)
+        _assert_within_budget(expected, actual)
 
 
 def _series(phase_offset=0.0, n=40, seed=3):
@@ -126,51 +126,40 @@ def _series(phase_offset=0.0, n=40, seed=3):
 
 class TestCacheSemantics:
     def test_first_call_misses_everything(self):
-        with BatchedEngine() as engine:
+        with HarmonicEngine() as engine:
             engine.azimuth_spectrum(_series(), AZIMUTH_GRID, 0.14)
             stats = engine.cache_stats()
-        assert stats["steering"]["hits"] == 0
-        assert stats["steering"]["misses"] == 1
-        assert stats["spectra"]["hits"] == 0
-        assert stats["spectra"]["misses"] == 1
+        for memo in ("steering", "geometry"):
+            assert stats[memo]["hits"] == 0
+            assert stats[memo]["misses"] == 1
 
     def test_identical_repeat_hits_spectrum_cache(self):
-        with BatchedEngine() as engine, fix_scope():
+        with create_engine("adaptive-harmonic") as engine, fix_scope():
             first = engine.azimuth_spectrum(_series(), AZIMUTH_GRID, 0.14)
+            before = engine.cache_stats()
             second = engine.azimuth_spectrum(_series(), AZIMUTH_GRID, 0.14)
-            stats = engine.cache_stats()
+            after = engine.cache_stats()
         assert second is first
-        assert stats["spectra"]["hits"] == 1
-        # The cached spectrum short-circuits before the steering lookup.
-        assert stats["steering"]["misses"] == 1
+        assert after["adaptive"]["spectra"]["hits"] == 1
+        # The memoized spectrum short-circuits before the dense stage.
+        for memo in ("steering", "geometry"):
+            assert after[memo] == before[memo]
 
     def test_changed_phases_reuse_steering_only(self):
-        """New measurements, same geometry: the expensive trig is reused."""
-        with BatchedEngine() as engine, fix_scope():
+        """New measurements, same geometry: the expensive tables are reused."""
+        with HarmonicEngine() as engine, fix_scope():
             engine.azimuth_spectrum(_series(), AZIMUTH_GRID, 0.14)
             engine.azimuth_spectrum(
                 _series(phase_offset=1.0), AZIMUTH_GRID, 0.14
             )
             stats = engine.cache_stats()
-        assert stats["steering"]["hits"] == 1
-        assert stats["steering"]["misses"] == 1
-        assert stats["spectra"]["hits"] == 0
-        assert stats["spectra"]["misses"] == 2
-        assert stats["residuals"]["misses"] == 2
-
-    def test_profile_switch_reuses_residuals(self):
-        """The R-to-Q fallback pays the phase wrap only once."""
-        with BatchedEngine() as engine, fix_scope():
-            engine.azimuth_spectrum(_series(), AZIMUTH_GRID, 0.14)
-            engine.azimuth_spectrum(_series(), AZIMUTH_GRID, None)
-            stats = engine.cache_stats()
-        assert stats["residuals"]["hits"] == 1
-        assert stats["residuals"]["misses"] == 1
-        assert stats["spectra"]["misses"] == 2  # R and Q are distinct spectra
+        for memo in ("steering", "geometry"):
+            assert stats[memo]["hits"] == 1
+            assert stats[memo]["misses"] == 1
 
     def test_changed_grid_misses_steering(self):
         other_grid = default_azimuth_grid(np.deg2rad(4.0))
-        with BatchedEngine() as engine, fix_scope():
+        with HarmonicEngine() as engine, fix_scope():
             engine.azimuth_spectrum(_series(), AZIMUTH_GRID, 0.14)
             engine.azimuth_spectrum(_series(), other_grid, 0.14)
             stats = engine.cache_stats()
@@ -178,57 +167,40 @@ class TestCacheSemantics:
         assert stats["steering"]["misses"] == 2
 
     def test_sub_quantum_perturbation_shares_entry(self):
-        """Inputs agreeing below 1e-12 are the same cached spectrum.
+        """Geometry agreeing below 1e-12 shares one memo entry.
 
-        Phases are pinned to 8 decimals so the 1e-14 nudge cannot land on
+        Times are pinned to 8 decimals so the 1e-14 nudge cannot land on
         a rounding-boundary of the key quantizer's 12-decimal cells.
         """
         raw = _series()
-        base = SnapshotSeries(
-            raw.times,
-            np.round(raw.phases, 8),
-            raw.wavelength,
-            raw.radius,
-            raw.angular_speed,
-            raw.phase0,
-        )
-        nudged = SnapshotSeries(
-            base.times,
-            base.phases + 1e-14,
-            base.wavelength,
-            base.radius,
-            base.angular_speed,
-            base.phase0,
-        )
-        with BatchedEngine() as engine, fix_scope():
-            first = engine.azimuth_spectrum(base, AZIMUTH_GRID, 0.14)
+        base = replace(raw, times=np.round(raw.times, 8))
+        nudged = replace(base, times=base.times + 1e-14)
+        with HarmonicEngine() as engine, fix_scope():
+            engine.azimuth_spectrum(base, AZIMUTH_GRID, 0.14)
             second = engine.azimuth_spectrum(nudged, AZIMUTH_GRID, 0.14)
-        assert second is first
+            stats = engine.cache_stats()
+        for memo in ("steering", "geometry"):
+            assert stats[memo]["hits"] == 1
+        expected = ReferenceEngine().azimuth_spectrum(nudged, AZIMUTH_GRID, 0.14)
+        _assert_within_budget(expected, second)
 
     def test_supra_quantum_perturbation_recomputes(self):
         """Inputs differing by more than the quantum must NOT collide."""
         base = _series()
-        moved = SnapshotSeries(
-            base.times,
-            base.phases + 1e-6,
-            base.wavelength,
-            base.radius,
-            base.angular_speed,
-            base.phase0,
-        )
-        with BatchedEngine() as engine, fix_scope():
-            first = engine.azimuth_spectrum(base, AZIMUTH_GRID, 0.14)
+        moved = replace(base, times=base.times + 1e-6)
+        with HarmonicEngine() as engine, fix_scope():
+            engine.azimuth_spectrum(base, AZIMUTH_GRID, 0.14)
             second = engine.azimuth_spectrum(moved, AZIMUTH_GRID, 0.14)
             stats = engine.cache_stats()
-        assert second is not first
-        assert stats["spectra"]["hits"] == 0
+        for memo in ("steering", "geometry"):
+            assert stats[memo]["hits"] == 0
         expected = ReferenceEngine().azimuth_spectrum(moved, AZIMUTH_GRID, 0.14)
-        assert np.array_equal(second.power, expected.power)
+        _assert_within_budget(expected, second)
 
     @given(sigma=st.floats(allow_nan=False, max_value=0.0))
     @settings(max_examples=10, deadline=None)
     def test_invalid_sigma_rejected(self, sigma):
-        with BatchedEngine() as engine:
+        with HarmonicEngine() as engine:
             with pytest.raises(ValueError):
                 engine.azimuth_spectrum(_series(), AZIMUTH_GRID, sigma)
 
@@ -236,14 +208,26 @@ class TestCacheSemantics:
         short = SnapshotSeries(
             np.array([0.0, 1.0]), np.array([0.1, 0.2]), 0.325, 0.1, 1.0
         )
-        with BatchedEngine() as engine:
+        with HarmonicEngine() as engine:
             with pytest.raises(InsufficientDataError):
                 engine.azimuth_spectrum(short, AZIMUTH_GRID, None)
         with pytest.raises(InsufficientDataError):
             ReferenceEngine().azimuth_spectrum(short, AZIMUTH_GRID, None)
 
     def test_cached_spectra_are_immutable(self):
-        with BatchedEngine() as engine:
-            spectrum = engine.azimuth_spectrum(_series(), AZIMUTH_GRID, 0.14)
-        with pytest.raises(ValueError):
-            spectrum.power[0] = 99.0
+        """The serving engine's memo hands every pass of a fix the same
+        spectrum objects, so no caller may write into them."""
+        channels = [_series(), _series(seed=4)]
+        with create_engine("adaptive-harmonic") as engine, fix_scope():
+            spectra = [
+                engine.azimuth_spectrum(channels[0], AZIMUTH_GRID, 0.14),
+                engine.joint_spectrum(
+                    channels[0], AZIMUTH_GRID, POLAR_GRID, 0.14
+                ),
+                engine.fused_joint_spectrum(
+                    channels, AZIMUTH_GRID, POLAR_GRID, 0.14
+                ),
+            ]
+        for spectrum in spectra:
+            with pytest.raises(ValueError):
+                spectrum.power[0] = 99.0

@@ -250,7 +250,7 @@ class TestEngineRegistry:
         for spec, name in [
             (None, "reference"),
             ("reference", "reference"),
-            ("batched", "batched"),
+            ("harmonic", "harmonic"),
         ]:
             with create_engine(spec) as engine:
                 assert engine.name == name

@@ -45,7 +45,7 @@ class TestBenchEngine:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["bench-engine"])
         assert args.scales == ["medium"]
-        assert "batched" in args.engines
+        assert "adaptive-harmonic" in args.engines
         assert args.rounds == 3
 
     def test_bench_engine_command(self, capsys, tmp_path):
@@ -54,14 +54,14 @@ class TestBenchEngine:
         assert main([
             "bench-engine",
             "--scales", "small",
-            "--engines", "reference", "batched",
+            "--engines", "reference", "harmonic",
             "--rounds", "1",
             "--snapshots", "24",
             "--json", str(json_path),
         ]) == 0
         output = capsys.readouterr().out
         assert "scenario small" in output
-        assert "batched" in output
+        assert "harmonic" in output
         assert json_path.exists()
 
     def test_bench_engine_rejects_unknown_engine(self):
