@@ -25,7 +25,7 @@ and recovery stays within the fix-cycle budget.
 ``--sharded`` benches the multi-core tier instead: the same
 multi-deployment columnar replay through a single-process supervisor
 (baseline) and through a :class:`~repro.fleet.sharding.ShardedFleet`
-(N worker processes, shared-memory columnar transport).  It gates on
+(N worker processes fed columnar batches over pipes).  It gates on
 
 * per-deployment fixes differentially identical to the baseline
   (≤ 1e-9 — sharding must change *where* work runs, never the answer);
@@ -303,7 +303,6 @@ def _bench_sharded(scenario, batches, ids, workers):
         deployment_id: fleet.accounting(deployment_id)
         for deployment_id in ids
     }
-    worker_info = fleet.worker_info()
 
     # Phase 2: chaos — checkpoint the victim, SIGKILL its worker
     # mid-stream, restart the shard, keep serving.
@@ -348,9 +347,6 @@ def _bench_sharded(scenario, batches, ids, workers):
             deployment_id: [fix.position.x, fix.position.y]
             for deployment_id, fix in fixes.items()
         },
-        "ring_fallbacks": sum(
-            info["ring_fallbacks"] for info in worker_info
-        ),
         "engine_stats": engine_stats,
         "ledgers": ledgers,
         "chaos": {
@@ -470,8 +466,7 @@ def _run_sharded(args) -> tuple:
         f"  chaos      : worker SIGKILL -> "
         f"{'warm' if metrics['chaos']['warm_restored'] else 'cold'} "
         f"restart, ledger "
-        f"{'balanced' if _ledger_balanced(metrics['chaos']['ledger_after_restart']) else 'UNBALANCED'}\n"
-        f"  transport  : {metrics['ring_fallbacks']} ring fallback(s)"
+        f"{'balanced' if _ledger_balanced(metrics['chaos']['ledger_after_restart']) else 'UNBALANCED'}"
     )
     config = {
         "seed": args.seed,

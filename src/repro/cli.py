@@ -463,8 +463,8 @@ def _serve_sharded(args: argparse.Namespace, scenario, batch, truth) -> int:
 
     Same session shape as the in-process path — add deployments, stream
     the collected batch in chunks, fix each deployment — but ingest
-    crosses process boundaries through the shared-memory columnar
-    transport, and ``--kill`` SIGKILLs a whole *worker process*
+    crosses process boundaries as columnar batches on each worker's
+    pipe, and ``--kill`` SIGKILLs a whole *worker process*
     mid-stream to demonstrate the cross-process warm restart.
     """
     import time
@@ -540,8 +540,7 @@ def _serve_sharded(args: argparse.Namespace, scenario, batch, truth) -> int:
         for info in fleet.worker_info():
             print(
                 f"worker {info['index']}: pid {info['pid']}, "
-                f"{len(info.get('deployments', []))} deployment(s), "
-                f"{info['ring_fallbacks']} ring fallback(s)"
+                f"{len(info.get('deployments', []))} deployment(s)"
             )
         snapshot = fleet.metrics_snapshot()
     finally:
@@ -839,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--workers", type=int, default=0,
                     help="shard the fleet across this many worker "
                     "processes (0 = in-process supervisor); ingest "
-                    "crosses via shared-memory columnar transport")
+                    "crosses as columnar batches on each worker's pipe")
     ps.add_argument("--chunk-size", type=int, default=100,
                     help="reports per offered ingest batch")
     ps.add_argument("--checkpoint-every", type=int, default=2,

@@ -20,7 +20,7 @@ this package is what lets one process serve *thousands* of deployments
   tier's recovery SLOs;
 * :mod:`repro.fleet.sharding` / :mod:`repro.fleet.worker` — the
   multi-core tier: hash-sharded worker *processes* (a full supervisor
-  per shard) with zero-copy columnar ingest over shared memory.
+  per shard) fed columnar batches over one pipe each.
 """
 
 from repro.fleet.actor import ActorConfig, ActorStats, DeploymentActor
@@ -58,18 +58,13 @@ from repro.fleet.events import (
     EventLog,
     FleetEvent,
 )
-from repro.fleet.sharding import ShardedFleet, ShmRing, shard_for
+from repro.fleet.sharding import ShardedFleet, shard_for
 from repro.fleet.supervisor import (
     BreakerState,
     FleetSupervisor,
     SupervisorPolicy,
 )
-from repro.fleet.worker import (
-    DeploymentSpec,
-    WorkerOptions,
-    apply_thread_limits,
-    thread_pin_env,
-)
+from repro.fleet.worker import DeploymentSpec, WorkerOptions
 
 __all__ = [
     "ActorConfig",
@@ -110,9 +105,6 @@ __all__ = [
     "SupervisorPolicy",
     "DeploymentSpec",
     "ShardedFleet",
-    "ShmRing",
     "WorkerOptions",
-    "apply_thread_limits",
     "shard_for",
-    "thread_pin_env",
 ]

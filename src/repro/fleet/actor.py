@@ -26,7 +26,7 @@ Two protections bound each actor's blast radius:
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.errors import (

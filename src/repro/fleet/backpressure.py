@@ -72,7 +72,7 @@ class IngestMessage:
 
 @dataclass
 class ColumnarIngestMessage:
-    """A columnar batch offered by one reader (shm or wire transport).
+    """A columnar batch offered by one reader (pipe or wire transport).
 
     Counts against the high-water mark row-for-row like
     :class:`IngestMessage`; shedding slices rows off with vectorized

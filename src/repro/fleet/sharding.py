@@ -14,13 +14,10 @@ engine live in one worker, so every report for it must land on
 the worker that owns that state.  The hash route guarantees that; it is
 also why work stealing is deliberately absent.
 
-**Zero-copy columnar transport.**  ``offer_columnar`` packs the batch's
-arrays into a per-worker ``multiprocessing.shared_memory`` ring
-(:class:`ShmRing`, a bip-buffer) and sends only a tiny
-``(offset, metadata)`` tuple down the pipe; the worker copies the rows
-out with ``np.frombuffer`` views and acks a ``release``.  When the ring
-is full (consumer behind) the batch falls back to inline pickling —
-counted, never dropped.
+**One transport.**  Every offer travels pickled inside its message on
+the worker's pipe: object reports from ``offer``, ndarray columns from
+``offer_columnar``.  Batches are small (a served wire frame decodes to
+~49 reports, ~3.5 KB pickled), so no side channel is needed.
 
 **Exact cross-incarnation ledger.**  Every offer the worker processes
 is acknowledged with a full accounting snapshot.  The parent tracks how
@@ -50,12 +47,10 @@ import shutil
 import tempfile
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, WorkerUnavailableError
 from repro.fleet.events import (
@@ -69,15 +64,12 @@ from repro.fleet.events import (
 )
 from repro.fleet.supervisor import SupervisorPolicy
 from repro.fleet.worker import (
+    THREAD_PIN_ENV,
     DeploymentSpec,
     WorkerOptions,
-    thread_pin_env,
     worker_main,
 )
 from repro.hardware.llrp_columnar import ColumnarReportBatch
-
-#: Default per-worker shared-memory ring capacity (bytes).
-DEFAULT_RING_BYTES = 1 << 22
 
 #: Ledger keys, in the order the fold code walks them.
 _LEDGER_KEYS = (
@@ -98,6 +90,32 @@ def _zero_ledger() -> dict:
     return {key: 0 for key in _LEDGER_KEYS}
 
 
+def _incarnation_ledger(snap: Optional[dict], dispatched: int,
+                        crashed: bool) -> dict:
+    """What one finished worker incarnation adds to a deployment ledger.
+
+    ``snap`` is the incarnation's last acked ledger and ``dispatched``
+    what the parent sent it.  Reports dispatched but never acked were
+    offered (the parent sent them) and lost (no process saw them), so
+    they land in both ``offered`` and ``lost_in_crash``, the buckets
+    that keep the invariant balanced.  A crash also loses everything
+    still ``pending`` in the dead mailboxes.
+    """
+    totals = _zero_ledger()
+    if snap is not None:
+        for key in _LEDGER_KEYS:
+            totals[key] = snap[key]
+    in_transit = max(
+        0, dispatched - totals["offered"] - totals["rejected_open"]
+    )
+    totals["offered"] += in_transit
+    totals["lost_in_crash"] += in_transit
+    if crashed:
+        totals["lost_in_crash"] += totals["pending"]
+        totals["pending"] = 0
+    return totals
+
+
 def shard_for(deployment_id: str, workers: int) -> int:
     """Stable shard index of a deployment (salt-free blake2b)."""
     if workers < 1:
@@ -106,117 +124,6 @@ def shard_for(deployment_id: str, workers: int) -> int:
         deployment_id.encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big") % workers
-
-
-class ShmRing:
-    """Parent-side bip-buffer allocator over one shared-memory segment.
-
-    Allocation and release are both parent-side (the worker only *acks*
-    releases over the pipe), so no cross-process locking is needed: the
-    pipe's FIFO ordering guarantees releases arrive in allocation order,
-    which is exactly the discipline a bip-buffer requires.  A process-
-    local lock is still required — ``alloc`` runs on the offering thread
-    while ``release`` runs on the per-worker reader thread, and a lost
-    update on ``_used`` would either hand out bytes overlapping an
-    in-flight slot (silent data corruption) or strand the ring in
-    permanent pickle fallback.
-    """
-
-    def __init__(self, nbytes: int = DEFAULT_RING_BYTES) -> None:
-        if nbytes < 64:
-            raise ValueError("ring too small")
-        self.capacity = nbytes
-        self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        self._lock = threading.Lock()
-        self._head = 0
-        self._used = 0
-        self._inflight: Deque[Tuple[int, int, int]] = deque()
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def buf(self):
-        return self._shm.buf
-
-    @property
-    def used(self) -> int:
-        return self._used
-
-    @property
-    def inflight(self) -> int:
-        return len(self._inflight)
-
-    def alloc(self, size: int) -> Optional[int]:
-        """Reserve ``size`` contiguous bytes; None when the ring is full."""
-        size = max(8, (size + 7) & ~7)
-        if size > self.capacity:
-            return None
-        with self._lock:
-            pad = 0
-            offset = self._head
-            if offset + size > self.capacity:
-                # Wrap: the skipped tail bytes stay accounted until
-                # release.
-                pad = self.capacity - offset
-                offset = 0
-            if size + pad > self.capacity - self._used:
-                return None
-            self._inflight.append((offset, size, pad))
-            self._used += size + pad
-            self._head = (offset + size) % self.capacity
-            return offset
-
-    def release(self, offset: int) -> None:
-        """Free the oldest slot (FIFO); ``offset`` cross-checks protocol."""
-        with self._lock:
-            if not self._inflight:
-                raise ValueError("release with no slot in flight")
-            slot_offset, size, pad = self._inflight.popleft()
-            if slot_offset != offset:
-                self._inflight.appendleft((slot_offset, size, pad))
-                raise ValueError(
-                    f"out-of-order release: expected {slot_offset}, "
-                    f"got {offset}"
-                )
-            self._used -= size + pad
-
-    def cancel(self, offset: int) -> bool:
-        """Undo the *newest* allocation (it was never shipped).
-
-        Used when the pipe send fails after a successful :meth:`alloc`:
-        the worker will never ack a release for that slot, so the parent
-        must take the bytes back itself or the accounting leaks until
-        the ring degrades to permanent pickle fallback.  Only the most
-        recent slot can be cancelled (anything older may already be in
-        flight); returns False when ``offset`` is not that slot.
-        """
-        with self._lock:
-            if not self._inflight or self._inflight[-1][0] != offset:
-                return False
-            slot_offset, size, pad = self._inflight.pop()
-            self._used -= size + pad
-            # Rewind the head to where this alloc found it (the slot
-            # start, or the pre-wrap tail when the alloc wrapped).
-            self._head = (
-                self.capacity - pad if pad else slot_offset
-            ) % self.capacity
-            return True
-
-    def close(self, unlink: bool = True) -> None:
-        with self._lock:
-            self._inflight.clear()
-            self._used = 0
-        try:
-            self._shm.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        if unlink:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
 
 
 @dataclass
@@ -240,7 +147,6 @@ class _WorkerHandle:
         self.index = index
         self.process: Optional[multiprocessing.Process] = None
         self.conn = None
-        self.ring: Optional[ShmRing] = None
         self.reader: Optional[threading.Thread] = None
         self.send_lock = threading.Lock()
         self.pending: Dict[int, Future] = {}
@@ -251,11 +157,20 @@ class _WorkerHandle:
         self.alive = False
         self.stopping = False
         self.final: Optional[dict] = None
-        self.ring_fallbacks = 0
 
     @property
     def pid(self) -> Optional[int]:
         return self.process.pid if self.process is not None else None
+
+    @property
+    def unfolded(self) -> bool:
+        """Dead, with the incarnation's ledger not yet folded.
+
+        An uncommanded death (the reader saw EOF) leaves the pipe open
+        until :meth:`ShardedFleet._fold_worker` and the teardown that
+        follows it, which clears ``conn``.
+        """
+        return not self.alive and self.conn is not None
 
 
 class ShardedFleet:
@@ -267,20 +182,15 @@ class ShardedFleet:
         policy: Optional[SupervisorPolicy] = None,
         events: Optional[EventLog] = None,
         checkpoint_dir: Optional[str] = None,
-        ring_bytes: int = DEFAULT_RING_BYTES,
-        threads_per_worker: int = 1,
         request_timeout_s: float = 30.0,
-        start_method: str = "spawn",
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be positive")
         self.workers = workers
         self.policy = policy
         self.events = events if events is not None else EventLog()
-        self.ring_bytes = ring_bytes
-        self.threads_per_worker = threads_per_worker
         self.request_timeout_s = request_timeout_s
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context("spawn")
         self._owns_checkpoint_dir = checkpoint_dir is None
         # Always file-backed: checkpoints must outlive worker processes
         # for the cross-process warm restart to exist at all.
@@ -318,7 +228,6 @@ class ShardedFleet:
 
     def _spawn(self, handle: _WorkerHandle) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        handle.ring = ShmRing(self.ring_bytes)
         handle.conn = parent_conn
         handle.pending = {}
         handle.last_ledger = {}
@@ -326,23 +235,18 @@ class ShardedFleet:
         handle.stopping = False
         handle.final = None
         options = WorkerOptions(
-            policy=self.policy,
-            checkpoint_dir=self.checkpoint_dir,
-            threads=self.threads_per_worker,
+            policy=self.policy, checkpoint_dir=self.checkpoint_dir
         )
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, handle.index, handle.ring.name, options),
+            args=(child_conn, handle.index, options),
             name=f"tagspin-shard-{handle.index}",
             daemon=True,
         )
         # Export the pinning env *before* spawn: the child reads these at
         # numpy/BLAS import time, long before worker_main runs.
-        saved = {
-            name: os.environ.get(name)
-            for name in thread_pin_env(self.threads_per_worker)
-        }
-        os.environ.update(thread_pin_env(self.threads_per_worker))
+        saved = {name: os.environ.get(name) for name in THREAD_PIN_ENV}
+        os.environ.update(THREAD_PIN_ENV)
         try:
             process.start()
         finally:
@@ -388,12 +292,6 @@ class ShardedFleet:
                 handle.last_ledger[message[1]] = message[2]
                 if len(message) > 3:
                     handle.last_metrics = message[3]
-            elif kind == "release":
-                if handle.ring is not None:
-                    try:
-                        handle.ring.release(message[1])
-                    except ValueError:  # pragma: no cover - protocol bug
-                        pass
         handle.alive = False
         for rid in list(handle.pending):
             future = handle.pending.pop(rid, None)
@@ -516,42 +414,15 @@ class ShardedFleet:
 
     def offer_columnar(self, deployment_id: str, reader_name: str,
                        cols: ColumnarReportBatch) -> int:
-        """Route a columnar batch through shared memory (zero-copy).
-
-        Falls back to inline pickling when the ring has no room — the
-        batch is never dropped parent-side; ``ring_fallbacks`` counts
-        how often the consumer fell behind.
-        """
+        """Route a columnar batch (its columns pickled over the pipe)."""
         route = self._route(deployment_id)
         handle = self._workers[route.shard]
         count = len(cols)
         try:
-            offset = (
-                handle.ring.alloc(cols.packed_nbytes())
-                if handle.alive and handle.ring is not None
-                else None
+            self._send(
+                handle,
+                ("offer_cols_inline", deployment_id, reader_name, cols),
             )
-            if offset is None:
-                handle.ring_fallbacks += 1
-                self._send(
-                    handle,
-                    ("offer_cols_inline", deployment_id, reader_name, cols),
-                )
-            else:
-                try:
-                    meta = cols.pack_into(handle.ring.buf, offset)
-                    self._send(
-                        handle,
-                        ("offer_cols", deployment_id, reader_name, offset,
-                         meta),
-                    )
-                except BaseException:
-                    # The worker never saw this slot, so it will never
-                    # ack a release — take the bytes back here or the
-                    # ring accounting leaks across incarnations.
-                    if handle.ring is not None:
-                        handle.ring.cancel(offset)
-                    raise
         except WorkerUnavailableError:
             self._reject_down(route, deployment_id, reader_name, count)
             return 0
@@ -650,9 +521,11 @@ class ShardedFleet:
 
         Live worker state (fresh ``sync`` when reachable, else the last
         ledger ack) plus everything folded from dead incarnations, plus
-        parent-side rejections while the worker was down.  The chaos
-        invariant ``offered == shed + pending + delivered +
-        lost_in_crash`` holds exactly, even after ``kill -9``.
+        parent-side rejections while the worker was down.  A worker
+        that died on its own and is not folded yet counts as the crash
+        fold would count it; nothing is changed.  The chaos invariant
+        ``offered == shed + pending + delivered + lost_in_crash`` holds
+        exactly, even after ``kill -9``.
         """
         route = self._route(deployment_id)
         handle = self._workers[route.shard]
@@ -665,6 +538,12 @@ class ShardedFleet:
                 snap = ledgers.get(deployment_id)
             except WorkerUnavailableError:
                 snap = handle.last_ledger.get(deployment_id)
+        elif handle.unfolded:
+            snap = _incarnation_ledger(
+                handle.last_ledger.get(deployment_id),
+                route.dispatched,
+                crashed=True,
+            )
         if snap is not None:
             for key in _LEDGER_KEYS:
                 totals[key] += snap[key]
@@ -674,11 +553,8 @@ class ShardedFleet:
     def _fold_worker(self, handle: _WorkerHandle, crashed: bool) -> None:
         """Fold a finished worker incarnation into parent-side ledgers.
 
-        ``crashed`` means the final ledger acks may predate reports
-        still in the pipe: those in-transit reports were offered (the
-        parent dispatched them) and lost (no process ever saw them), so
-        they land in both ``offered`` and ``lost_in_crash`` — exactly
-        the buckets that keep the invariant balanced.
+        ``crashed`` means the incarnation died without a final ledger;
+        :func:`_incarnation_ledger` holds the arithmetic.
 
         The incarnation's metrics snapshot folds alongside the ledger:
         a clean stop reports its final registry state, a crash falls
@@ -701,31 +577,13 @@ class ShardedFleet:
         for deployment_id, route in self._routes.items():
             if route.shard != handle.index:
                 continue
-            snap = handle.last_ledger.pop(
-                deployment_id, None
-            ) or _zero_ledger()
-            in_transit = max(
-                0,
-                route.dispatched
-                - snap["offered"]
-                - snap["rejected_open"],
+            ledger = _incarnation_ledger(
+                handle.last_ledger.pop(deployment_id, None),
+                route.dispatched,
+                crashed,
             )
-            folds = route.folds
-            folds["offered"] += snap["offered"] + in_transit
-            folds["shed"] += snap["shed"]
-            folds["delivered"] += snap["delivered"]
-            folds["received"] += snap["received"]
-            folds["accepted"] += snap["accepted"]
-            folds["quarantined"] += snap["quarantined"]
-            folds["rejected_invalid"] += snap["rejected_invalid"]
-            folds["rejected_open"] += snap["rejected_open"]
-            if crashed:
-                folds["lost_in_crash"] += (
-                    snap["lost_in_crash"] + snap["pending"] + in_transit
-                )
-            else:
-                folds["pending"] += snap["pending"]
-                folds["lost_in_crash"] += snap["lost_in_crash"] + in_transit
+            for key in _LEDGER_KEYS:
+                route.folds[key] += ledger[key]
             route.dispatched = 0
 
     # ------------------------------------------------------------------
@@ -808,10 +666,9 @@ class ShardedFleet:
                 "index": handle.index,
                 "pid": handle.pid,
                 "alive": handle.alive,
-                "ring_fallbacks": handle.ring_fallbacks,
-                "ring_inflight": (
-                    handle.ring.inflight if handle.ring is not None else 0
-                ),
+                # Always 0: nothing falls back.  perfbench sums this key
+                # over worker_info() and stops every sharded run without it.
+                "ring_fallbacks": 0,
                 **payload,
             })
         return info
@@ -866,11 +723,10 @@ class ShardedFleet:
             raise ConfigurationError(
                 f"worker {index} is still running; kill it first"
             )
-        if handle.ring is not None:
+        if handle.unfolded:
             # Uncommanded death (reader saw EOF; nothing folded yet):
-            # settle the dead incarnation's ledger and release its
-            # shared-memory segment before spawning the replacement,
-            # else the segment leaks, ``dispatched`` keeps the dead
+            # settle the dead incarnation's ledger before spawning the
+            # replacement, else ``dispatched`` keeps the dead
             # incarnation's count and drain() can never settle.
             if handle.process is not None:
                 handle.process.join(10.0)
@@ -973,6 +829,3 @@ class ShardedFleet:
             except OSError:  # pragma: no cover - defensive
                 pass
             handle.conn = None
-        if handle.ring is not None:
-            handle.ring.close(unlink=True)
-            handle.ring = None

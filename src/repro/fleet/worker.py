@@ -9,27 +9,22 @@ parent over one duplex pipe:
 
 * control requests (``add``/``locate``/``checkpoint``/``sync``/…)
   carry a request id and get a ``("reply", rid, ok, payload)``;
-* ingest (``offer`` / ``offer_cols`` / ``offer_cols_inline``) is
-  fire-and-forget, but every offer is acknowledged with a
+* ingest (``offer`` with object reports, ``offer_cols_inline`` with a
+  pickled :class:`~repro.hardware.llrp_columnar.ColumnarReportBatch`)
+  is fire-and-forget, but every offer is acknowledged with a
   ``("ledger", deployment_id, accounting, metrics)`` snapshot — the
   exact report ledger plus this process's metrics-registry snapshot —
   so the parent can fold exact cross-incarnation accounting *and*
   telemetry even when this process is SIGKILLed mid-stream (both ride
   the same message, so the folded metrics are always consistent with
-  the folded ledger);
-* ``offer_cols`` rows arrive through the shared-memory ring
-  (:meth:`~repro.hardware.llrp_columnar.ColumnarReportBatch
-  .unpack_from` — one copy out, no pickling) and the slot is released
-  back to the parent with ``("release", offset)`` immediately.
+  the folded ledger).
 
 **Thread-pool pinning.**  Workers must not oversubscribe cores: N
-workers each letting BLAS/numba spawn ``os.cpu_count()`` threads for the
-harmonic engine's ``exp``/``einsum`` accumulate is the profiling
-follow-up ROADMAP item 3 warns about.  The parent therefore exports
-``OMP_NUM_THREADS=…`` etc. *before* spawning (the only reliable moment —
-BLAS reads them at import), and :func:`apply_thread_limits` additionally
-applies ``threadpoolctl`` runtime limits here when that package is
-importable.
+workers each letting BLAS spawn ``os.cpu_count()`` threads for the
+harmonic engine's matrix products would fight over the same cores.
+The parent therefore exports :data:`THREAD_PIN_ENV` (one thread per
+native pool) *before* spawning, the only reliable moment: BLAS and
+OpenMP read it once, at import.
 """
 
 from __future__ import annotations
@@ -42,49 +37,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
 
-#: Environment variables that cap the common native thread pools.  Set
-#: by the parent before spawn so BLAS/OpenMP/numba read them at import.
-THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMBA_NUM_THREADS",
-)
+#: The environment every worker inherits: one thread for each common
+#: native pool.  Set by the parent before spawn, because BLAS and OpenMP
+#: read it at import.
+THREAD_PIN_ENV = {
+    name: "1"
+    for name in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS",
+    )
+}
 
-
-def thread_pin_env(threads: int) -> dict:
-    """The environment a worker must inherit to pin its native pools."""
-    if threads < 1:
-        raise ValueError("threads must be positive")
-    return {name: str(threads) for name in THREAD_ENV_VARS}
-
-
-def apply_thread_limits(threads: int) -> dict:
-    """Best-effort runtime pinning inside the worker; returns status.
-
-    The env vars (set pre-spawn by the parent) are the load-bearing
-    mechanism; ``threadpoolctl`` is applied on top when importable so
-    pools that were already initialized get capped too.
-    """
-    status = {
-        "threads": threads,
-        "env": {
-            name: os.environ.get(name) for name in THREAD_ENV_VARS
-        },
-        "threadpoolctl": False,
-    }
-    try:
-        import threadpoolctl
-    except ImportError:
-        return status
-    try:
-        threadpoolctl.threadpool_limits(limits=threads)
-        status["threadpoolctl"] = True
-    except Exception:  # pragma: no cover - defensive
-        pass
-    return status
+#: Seconds a worker waits for a freshly added actor to start serving.
+ADD_DEADLINE_S = 15.0
 
 
 @dataclass(frozen=True)
@@ -96,10 +64,6 @@ class WorkerOptions:
     #: Directory of the shared :class:`JsonCheckpointStore` (file-based
     #: so checkpoints survive the worker process itself).
     checkpoint_dir: str = ""
-    #: Native threads each worker may use (BLAS/numba pinning).
-    threads: int = 1
-    #: Seconds to wait for a freshly added actor to start serving.
-    add_deadline_s: float = 15.0
 
 
 @dataclass(frozen=True)
@@ -134,7 +98,6 @@ class _WorkerState:
     supervisor: object
     events: object
     servers: dict = field(default_factory=dict)
-    pin_status: dict = field(default_factory=dict)
 
 
 def _build_factory(spec: DeploymentSpec, state: _WorkerState):
@@ -175,27 +138,15 @@ async def _wait_actor_running(supervisor, deployment_id, deadline_s):
         await asyncio.sleep(0.002)
 
 
-async def _serve(conn, index: int, shm_name: str, options: WorkerOptions,
-                 pin_status: dict) -> None:
-    from multiprocessing import shared_memory
-
+async def _serve(conn, index: int, options: WorkerOptions) -> None:
     from repro.fleet.checkpoint import (
         JsonCheckpointStore,
         MemoryCheckpointStore,
     )
     from repro.fleet.events import EVENT_INGEST_REJECTED, EventLog
     from repro.fleet.supervisor import FleetSupervisor, SupervisorPolicy
-    from repro.hardware.llrp_columnar import ColumnarReportBatch
 
     loop = asyncio.get_running_loop()
-    shm = None
-    if shm_name:
-        try:
-            # track=False (3.13+) keeps the child's resource tracker from
-            # double-unlinking the parent-owned segment.
-            shm = shared_memory.SharedMemory(name=shm_name, track=False)
-        except TypeError:  # pragma: no cover - Python < 3.13
-            shm = shared_memory.SharedMemory(name=shm_name)
     store = (
         JsonCheckpointStore(Path(options.checkpoint_dir))
         if options.checkpoint_dir
@@ -206,9 +157,7 @@ async def _serve(conn, index: int, shm_name: str, options: WorkerOptions,
         options.policy if options.policy is not None else SupervisorPolicy()
     )
     supervisor = FleetSupervisor(policy=policy, events=events, store=store)
-    state = _WorkerState(
-        supervisor=supervisor, events=events, pin_status=pin_status
-    )
+    state = _WorkerState(supervisor=supervisor, events=events)
 
     queue: "asyncio.Queue" = asyncio.Queue()
     background: set = set()
@@ -302,7 +251,7 @@ async def _serve(conn, index: int, shm_name: str, options: WorkerOptions,
                     spec.actor_config,
                 )
                 await _wait_actor_running(
-                    supervisor, spec.deployment_id, options.add_deadline_s
+                    supervisor, spec.deployment_id, ADD_DEADLINE_S
                 )
                 actor = supervisor.actor(spec.deployment_id)
                 reply(rid, True, {
@@ -380,7 +329,6 @@ async def _serve(conn, index: int, shm_name: str, options: WorkerOptions,
                 reply(rid, True, {
                     "pid": os.getpid(),
                     "index": index,
-                    "pin": state.pin_status,
                     "deployments": list(supervisor.deployment_ids()),
                 })
             elif kind == "kill":
@@ -418,70 +366,43 @@ async def _serve(conn, index: int, shm_name: str, options: WorkerOptions,
             reply(rid, False, exc)
         return True
 
-    try:
-        while True:
-            message = await queue.get()
-            if message is None:
-                # Parent pipe closed without a stop: shut down quietly
-                # (the parent is gone or crashed; nothing to reply to).
-                await supervisor.stop()
+    while True:
+        message = await queue.get()
+        if message is None:
+            # Parent pipe closed without a stop: shut down quietly
+            # (the parent is gone or crashed; nothing to reply to).
+            await supervisor.stop()
+            break
+        kind = message[0]
+        if kind == "offer":
+            _, deployment_id, reader_name, reports = message
+            try:
+                supervisor.offer(deployment_id, reader_name, reports)
+                ledger_ack(deployment_id)
+            except Exception as exc:
+                reject_ingest(deployment_id, reader_name, exc)
+        elif kind == "offer_cols_inline":
+            _, deployment_id, reader_name, cols = message
+            try:
+                supervisor.offer_columnar(deployment_id, reader_name, cols)
+                ledger_ack(deployment_id)
+            except Exception as exc:
+                reject_ingest(deployment_id, reader_name, exc)
+        else:
+            keep_serving = await handle_request(message)
+            if not keep_serving:
                 break
-            kind = message[0]
-            if kind == "offer":
-                _, deployment_id, reader_name, reports = message
-                try:
-                    supervisor.offer(deployment_id, reader_name, reports)
-                    ledger_ack(deployment_id)
-                except Exception as exc:
-                    reject_ingest(deployment_id, reader_name, exc)
-            elif kind == "offer_cols":
-                _, deployment_id, reader_name, slot_offset, meta = message
-                try:
-                    try:
-                        cols = ColumnarReportBatch.unpack_from(
-                            shm.buf, meta, offset=slot_offset, copy=True
-                        )
-                    finally:
-                        # Release unconditionally (even on corrupt
-                        # meta): the copy detached us from the segment,
-                        # and a slot the parent never gets back wedges
-                        # the ring's FIFO.
-                        send(("release", slot_offset))
-                    supervisor.offer_columnar(
-                        deployment_id, reader_name, cols
-                    )
-                    ledger_ack(deployment_id)
-                except Exception as exc:
-                    reject_ingest(deployment_id, reader_name, exc)
-            elif kind == "offer_cols_inline":
-                _, deployment_id, reader_name, cols = message
-                try:
-                    supervisor.offer_columnar(
-                        deployment_id, reader_name, cols
-                    )
-                    ledger_ack(deployment_id)
-                except Exception as exc:
-                    reject_ingest(deployment_id, reader_name, exc)
-            else:
-                keep_serving = await handle_request(message)
-                if not keep_serving:
-                    break
-    finally:
-        if shm is not None:
-            shm.close()
 
 
-def worker_main(conn, index: int, shm_name: str,
-                options: WorkerOptions) -> None:
+def worker_main(conn, index: int, options: WorkerOptions) -> None:
     """Entry point of one shard's worker process (spawn-safe)."""
     from repro.obs.metrics import refresh_from_env
 
     # Spawned children must honor the parent's TAGSPIN_DISABLE_TELEMETRY
     # even under fork (where module state was inherited pre-toggle).
     refresh_from_env()
-    pin_status = apply_thread_limits(options.threads)
     try:
-        asyncio.run(_serve(conn, index, shm_name, options, pin_status))
+        asyncio.run(_serve(conn, index, options))
     finally:
         try:
             conn.close()

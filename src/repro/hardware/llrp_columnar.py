@@ -198,86 +198,6 @@ class ColumnarReportBatch:
         ports, first = np.unique(self.antenna_port, return_index=True)
         return [int(p) for p in ports[np.argsort(first)]]
 
-    # ------------------------------------------------------------------
-    # Shared-memory (de)materialization
-    # ------------------------------------------------------------------
-    def packed_nbytes(self) -> int:
-        """Bytes :meth:`pack_into` needs (8-byte aligned per column)."""
-        total = 0
-        for name in _SHM_COLUMNS:
-            total = _align8(total) + getattr(self, name).nbytes
-        return total
-
-    def pack_into(self, buf, offset: int = 0) -> dict:
-        """Copy every column into ``buf`` at ``offset``; returns metadata.
-
-        One memcpy per column straight into the destination buffer
-        (typically a ``multiprocessing.shared_memory`` segment) — no
-        pickling, no intermediate bytes.  The returned metadata dict is
-        small (EPC table plus per-column dtype/offset) and travels over
-        the control pipe; :meth:`unpack_from` rebuilds the batch on the
-        other side.  Column dtypes are recorded per column because
-        timestamp columns are ``uint64`` off the wire but ``int64`` from
-        :meth:`from_reports`.
-        """
-        n = len(self)
-        columns = []
-        position = offset
-        for name in _SHM_COLUMNS:
-            array = getattr(self, name)
-            position = _align8(position)
-            if n:
-                destination = np.frombuffer(
-                    buf, dtype=array.dtype, count=n, offset=position
-                )
-                destination[:] = array
-            columns.append((name, array.dtype.str, position - offset))
-            position += array.nbytes
-        return {
-            "count": n,
-            "epcs": list(self.epcs),
-            "columns": columns,
-            "nbytes": position - offset,
-        }
-
-    @classmethod
-    def unpack_from(
-        cls, buf, meta: dict, offset: int = 0, copy: bool = True
-    ) -> "ColumnarReportBatch":
-        """Rebuild a batch packed by :meth:`pack_into`.
-
-        ``copy=True`` (the default) detaches the columns from ``buf`` so
-        the shared-memory slot can be released immediately; ``copy=False``
-        returns zero-copy views valid only while ``buf`` is alive.
-        """
-        count = meta["count"]
-        kwargs = {}
-        for name, dtype_str, relative in meta["columns"]:
-            array = np.frombuffer(
-                buf,
-                dtype=np.dtype(dtype_str),
-                count=count,
-                offset=offset + relative,
-            )
-            kwargs[name] = array.copy() if copy else array
-        return cls(epcs=list(meta["epcs"]), **kwargs)
-
-
-#: Column transport order for :meth:`ColumnarReportBatch.pack_into`.
-_SHM_COLUMNS = (
-    "epc_index",
-    "antenna_port",
-    "channel_index",
-    "reader_timestamp_us",
-    "host_timestamp_us",
-    "phase_rad",
-    "rssi_dbm",
-)
-
-
-def _align8(value: int) -> int:
-    return (value + 7) & ~7
-
 
 # ---------------------------------------------------------------------------
 # Regular-layout fast path

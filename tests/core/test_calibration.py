@@ -11,7 +11,6 @@ from repro.core.calibration import (
     REFERENCE_ORIENTATION_RAD,
     FourierSeries,
     OrientationCalibrator,
-    OrientationProfile,
     estimate_diversity,
     fit_fourier_series,
     make_orientation_profile,

@@ -7,8 +7,6 @@ import pytest
 
 from repro.core.geometry import Point2, Point3
 from repro.core.locator import (
-    Fix2D,
-    Fix3D,
     TagspinLocator2D,
     TagspinLocator3D,
     spectra_to_bearings,

@@ -112,7 +112,6 @@ class TestDistanceModel:
 
     def test_phase0_shifts_pattern(self):
         times = np.linspace(0, 6.28, 100)
-        base = spinning_distance(times, 2.0, 0.1, 1.0, 0.7)
         shifted = spinning_distance(times, 2.0, 0.1, 1.0, 0.7, phase0=0.3)
         rolled = spinning_distance(times + 0.3, 2.0, 0.1, 1.0, 0.7)
         assert np.allclose(shifted, rolled)

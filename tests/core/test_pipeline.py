@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.geometry import Point2, Point3
-from repro.core.pipeline import PipelineConfig, TagspinSystem
+from repro.core.pipeline import PipelineConfig
 from repro.errors import InsufficientDataError, UnknownTagError
 from repro.hardware.llrp import ReportBatch, TagReportData
-from repro.sim.scenario import ScenarioConfig, TagspinScenario, paper_default_scenario
+from repro.sim.scenario import ScenarioConfig, TagspinScenario
 
 
 def _report(epc, t_s, phase, antenna=1, channel=8):

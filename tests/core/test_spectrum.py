@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.spectrum import (
-    AngleSpectrum,
     SnapshotSeries,
     _refine_peak_circular,
     _refine_peak_clamped,

@@ -7,7 +7,6 @@ import asyncio
 import pytest
 
 from fleet_helpers import (
-    FakeLocalizationServer,
     RecordingServerFactory,
     make_report,
 )

@@ -1,4 +1,4 @@
-"""Tests for repro.fleet.sharding (multi-process fleet, shm transport).
+"""Tests for repro.fleet.sharding (multi-process fleet, pipe transport).
 
 The process tests spawn real workers (spawn start method), so they keep
 fleets small (2 workers) and reuse one collected scenario batch.  Every
@@ -9,12 +9,11 @@ guarantee a ``kill -9`` is not allowed to break.
 
 from __future__ import annotations
 
+import dataclasses
 import os
-import queue
+import pickle
 import signal
-import threading
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -22,9 +21,13 @@ import pytest
 from repro.core.geometry import Point3
 from repro.errors import ConfigurationError, WorkerUnavailableError
 from repro.fleet.backpressure import BoundedMailbox
-from repro.fleet.sharding import ShardedFleet, ShmRing, shard_for
-from repro.fleet.worker import DeploymentSpec, thread_pin_env
-from repro.hardware.llrp_columnar import ColumnarReportBatch
+from repro.fleet.sharding import ShardedFleet, shard_for
+from repro.fleet.worker import THREAD_PIN_ENV, DeploymentSpec
+from repro.hardware.llrp_columnar import (
+    ColumnarReportBatch,
+    decode_ro_access_report_columnar,
+)
+from repro.hardware.llrp_wire import encode_ro_access_report
 from repro.server.registry import TagRegistry
 from repro.server.resilience import ResilientLocalizationServer
 
@@ -107,139 +110,41 @@ class TestShardRouting:
             shard_for("dep", 0)
 
 
-class TestShmRing:
-    def test_alloc_release_fifo(self):
-        ring = ShmRing(1 << 12)
-        try:
-            first = ring.alloc(100)
-            second = ring.alloc(200)
-            assert first == 0
-            assert second == 104  # 8-byte aligned
-            ring.release(first)
-            ring.release(second)
-            assert ring.used == 0
-        finally:
-            ring.close()
+#: Every ndarray column of a batch (all fields but the EPC table).
+_COLUMNS = [
+    field.name
+    for field in dataclasses.fields(ColumnarReportBatch)
+    if field.name != "epcs"
+]
 
-    def test_wrap_and_exhaustion(self):
-        ring = ShmRing(1 << 10)
-        try:
-            slots = []
-            while True:
-                offset = ring.alloc(200)
-                if offset is None:
-                    break
-                slots.append(offset)
-            assert len(slots) == 5  # 5 x 200 (aligned) in 1024
-            ring.release(slots[0])
-            wrapped = ring.alloc(200)
-            assert wrapped == 0  # reused the freed head
-        finally:
-            ring.close()
 
-    def test_out_of_order_release_is_refused(self):
-        ring = ShmRing(1 << 10)
-        try:
-            ring.alloc(64)
-            ring.alloc(64)
-            with pytest.raises(ValueError):
-                ring.release(64)  # second slot before the first
-        finally:
-            ring.close()
-
-    def test_concurrent_alloc_release_stays_consistent(self):
-        """alloc (offer thread) and release (reader thread) race.
-
-        A lost update on ``_used`` either hands out overlapping bytes
-        (corruption) or strands the ring full (permanent fallback); with
-        the lock the accounting must come back to exactly zero.
-        """
-        ring = ShmRing(1 << 12)
-        inflight: "queue.Queue" = queue.Queue()
-        errors = []
-
-        def consumer():
-            try:
-                while True:
-                    offset = inflight.get()
-                    if offset is None:
-                        return
-                    ring.release(offset)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        thread = threading.Thread(target=consumer)
-        thread.start()
-        try:
-            produced = 0
-            while produced < 2000:
-                offset = ring.alloc(64)
-                if offset is None:
-                    continue
-                inflight.put(offset)
-                produced += 1
-        finally:
-            inflight.put(None)
-            thread.join(30.0)
-        try:
-            assert not errors
-            assert ring.used == 0
-            assert ring.inflight == 0
-        finally:
-            ring.close()
-
-    def test_cancel_reclaims_newest_unshipped_slot(self):
-        ring = ShmRing(1 << 10)
-        try:
-            first = ring.alloc(64)
-            second = ring.alloc(64)
-            # Only the newest slot is cancellable (older may be in
-            # flight at the worker already).
-            assert ring.cancel(first) is False
-            assert ring.cancel(second) is True
-            assert ring.used == 64
-            assert ring.alloc(64) == second  # head rewound
-        finally:
-            ring.close()
-
-    def test_cancel_of_wrapped_slot_restores_tail(self):
-        ring = ShmRing(1 << 10)
-        try:
-            slots = [ring.alloc(200) for _ in range(5)]
-            for offset in slots:
-                ring.release(offset)
-            wrapped = ring.alloc(200)  # pads the 24-byte tail, wraps
-            assert wrapped == 0
-            assert ring.cancel(wrapped) is True
-            assert ring.used == 0
-            assert ring.alloc(16) == 1000  # tail bytes usable again
-        finally:
-            ring.close()
-
-    def test_columnar_roundtrip_through_segment(self, collected):
-        cols = ColumnarReportBatch.from_reports(collected.reports)
-        ring = ShmRing(1 << 22)
-        try:
-            offset = ring.alloc(cols.packed_nbytes())
-            meta = cols.pack_into(ring.buf, offset)
-            clone = ColumnarReportBatch.unpack_from(
-                ring.buf, meta, offset=offset, copy=True
-            )
+class TestColumnarPickle:
+    def test_columnar_roundtrip_through_pickle(self, collected):
+        """Pickle is the transport: every batch crosses it unchanged."""
+        _mid, wire = decode_ro_access_report_columnar(
+            encode_ro_access_report(collected)
+        )
+        # Timestamps are unsigned (big-endian views) off the wire and
+        # signed from report objects.
+        batches = [
+            (wire, "u"),
+            (ColumnarReportBatch.from_reports(collected.reports), "i"),
+            (ColumnarReportBatch.empty(), "u"),
+        ]
+        for cols, timestamp_kind in batches:
+            assert cols.host_timestamp_us.dtype.kind == timestamp_kind
+            clone = pickle.loads(pickle.dumps(cols))
+            assert len(clone) == len(cols)
             assert clone.epcs == cols.epcs
-            np.testing.assert_array_equal(clone.epc_index, cols.epc_index)
-            np.testing.assert_array_equal(clone.phase_rad, cols.phase_rad)
-            np.testing.assert_array_equal(
-                clone.reader_timestamp_us, cols.reader_timestamp_us
-            )
-            assert clone.phase_rad.dtype == cols.phase_rad.dtype
-            # copy=True detaches from the segment: release + reuse must
-            # not corrupt the clone.
-            ring.release(offset)
-            before = clone.phase_rad.copy()
-            ring.buf[: 1 << 12] = b"\xff" * (1 << 12)
-            np.testing.assert_array_equal(clone.phase_rad, before)
-        finally:
-            ring.close()
+            for name in _COLUMNS:
+                original, copied = getattr(cols, name), getattr(clone, name)
+                # NumPy may pickle a big-endian wire view in native
+                # byte order; type, width and values must not change.
+                assert copied.dtype.newbyteorder("=") == (
+                    original.dtype.newbyteorder("=")
+                ), name
+                np.testing.assert_array_equal(copied, original, err_msg=name)
+        assert len(wire) == len(collected.reports) > 0
 
 
 class TestColumnarMailbox:
@@ -269,13 +174,11 @@ class TestColumnarMailbox:
 
 
 class TestThreadPinning:
-    def test_pin_env_covers_blas_and_numba(self):
-        env = thread_pin_env(3)
-        assert env["OMP_NUM_THREADS"] == "3"
-        assert env["OPENBLAS_NUM_THREADS"] == "3"
-        assert env["NUMBA_NUM_THREADS"] == "3"
-        with pytest.raises(ValueError):
-            thread_pin_env(0)
+    def test_pin_env_pins_blas_to_one_thread(self):
+        assert THREAD_PIN_ENV["OMP_NUM_THREADS"] == "1"
+        assert THREAD_PIN_ENV["OPENBLAS_NUM_THREADS"] == "1"
+        assert THREAD_PIN_ENV["MKL_NUM_THREADS"] == "1"
+        assert set(THREAD_PIN_ENV.values()) == {"1"}
 
 
 class TestShardedFleetServing:
@@ -295,7 +198,8 @@ class TestShardedFleetServing:
                 fleet.add_deployment(
                     make_spec(calibrated_scenario_2d, ids[0])
                 )
-            # Same rows over both transports: shm columnar and pickle.
+            # Same rows as columnar batches and as report lists, both
+            # pickled on the worker's pipe.
             step = 200
             for start in range(0, len(cols), step):
                 rows = np.arange(start, min(start + step, len(cols)))
@@ -433,9 +337,10 @@ class TestShardedFleetServing:
         self, calibrated_scenario_2d, collected
     ):
         """A worker dying on its own (not via ``kill_worker``) leaves an
-        unfolded incarnation behind; ``restart_shard`` must fold it and
-        unlink its shm segment, or ``dispatched`` keeps the dead count
-        and ``drain`` can never settle."""
+        unfolded incarnation behind.  Until the restart, ``accounting``
+        must still count it (as the crash fold will); ``restart_shard``
+        must fold it, or ``dispatched`` keeps the dead count and
+        ``drain`` can never settle."""
         reports = collected.reports
         fleet = ShardedFleet(workers=1, request_timeout_s=120.0)
         fleet.start()
@@ -446,17 +351,18 @@ class TestShardedFleetServing:
             fleet.offer("dep-ucd", "reader-1", reports[:100])
             fleet.drain(timeout_s=120.0)
             handle = fleet._workers[0]
-            old_ring_name = handle.ring.name
             os.kill(handle.pid, signal.SIGKILL)
             deadline = time.monotonic() + 30.0
             while handle.alive and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert not handle.alive
+            # Dead but not folded: the last acked ledger still counts.
+            ledger = fleet.accounting("dep-ucd")
+            assert ledger["offered"] == 100
+            assert ledger["delivered"] == 100
+            assert_balanced(ledger)
 
             fleet.restart_shard(0)
-            # The dead incarnation's segment must be gone, not leaked.
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=old_ring_name)
             fleet.offer("dep-ucd", "reader-1", reports[100:200])
             fleet.drain(timeout_s=120.0)  # hung forever pre-fix
             ledger = fleet.accounting("dep-ucd")
@@ -472,9 +378,9 @@ class TestShardedFleetServing:
         """Fire-and-forget ingest failures must not kill the shard.
 
         An unknown deployment id reaching the worker (restart race) and
-        a corrupt shm slot meta both have to be contained: the worker
-        records an ingest-rejected event (releasing the slot in the
-        columnar case) and keeps serving every other deployment."""
+        a malformed columnar payload both have to be contained: the
+        worker records an ingest-rejected event and keeps serving every
+        other deployment."""
         fleet = ShardedFleet(workers=1, request_timeout_s=120.0)
         fleet.start()
         try:
@@ -486,20 +392,14 @@ class TestShardedFleetServing:
             fleet._send(
                 handle, ("offer", "no-such-dep", "reader-1", [])
             )
-            # Corrupt columnar meta in an otherwise valid slot.
-            offset = handle.ring.alloc(64)
+            # A columnar offer whose payload is not a batch.
             fleet._send(
                 handle,
-                ("offer_cols", "dep-robust", "reader-1", offset, object()),
+                ("offer_cols_inline", "dep-robust", "reader-1", object()),
             )
             fleet.offer("dep-robust", "reader-1", collected.reports[:50])
             fleet.drain(timeout_s=120.0)
             assert handle.alive
-            # The corrupt slot's release ack still came back.
-            deadline = time.monotonic() + 30.0
-            while handle.ring.inflight and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert handle.ring.inflight == 0
             assert fleet.worker_events().get("ingest-rejected", 0) >= 2
             ledger = fleet.accounting("dep-robust")
             assert ledger["offered"] == 50

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.gen2 import (
     Gen2Config,
-    InventoryEvent,
     expected_read_rate,
     simulate_inventory,
 )

@@ -29,7 +29,6 @@ from repro.core.phase import theoretical_phase
 from repro.core.spectrum import (
     SnapshotSeries,
     default_azimuth_grid,
-    default_polar_grid,
 )
 from repro.perf import HarmonicEngine, ReferenceEngine, create_engine, fix_scope
 from repro.perf.harmonic import (

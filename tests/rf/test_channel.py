@@ -12,7 +12,7 @@ from repro.hardware.tags import make_tag
 from repro.rf.antenna import AntennaPort, PanelAntenna
 from repro.rf.channel import BackscatterChannel
 from repro.rf.multipath import centered_room
-from repro.rf.noise import NOISELESS, NoiseModel
+from repro.rf.noise import NOISELESS
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ import copy
 import math
 
 import numpy as np
-import pytest
 
 from repro.hardware.llrp_columnar import ColumnarReportBatch
 from repro.hardware.llrp import TagReportData

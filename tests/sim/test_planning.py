@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.geometry import Point2
 from repro.errors import ConfigurationError
 from repro.sim.planning import (
-    AccuracyMap,
     PlannedDisk,
     accuracy_map,
     bearing_error_std,
