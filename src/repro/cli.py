@@ -692,7 +692,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         replay_into_supervisor(
             recording,
             speed=args.speed,
-            decode=args.decode,
             fragment_bytes=args.fragment,
             deployments=args.deployments,
         )
@@ -724,7 +723,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     stats = result.stream_stats
     print(
         f"ingested  : {result.reports_offered} reports in "
-        f"{stats['batches']} batches ({args.decode} decode); "
+        f"{stats['batches']} batches; "
         f"{stats['resyncs']} resyncs, {stats['bytes_skipped']} "
         f"bytes skipped"
     )
@@ -892,8 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--speed", type=float, default=100.0,
                     help="replay pacing multiple of the captured timing "
                     "(1-1000x typical)")
-    pr.add_argument("--decode", choices=("columnar", "object"),
-                    default="columnar", help="wire decode path")
     pr.add_argument("--deployments", type=int, default=1,
                     help="clone the recording across M synthetic "
                     "deployments (fan-out load shape; fixes must agree)")

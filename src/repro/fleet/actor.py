@@ -3,10 +3,11 @@
 A :class:`DeploymentActor` owns one
 :class:`~repro.server.resilience.ResilientLocalizationServer` and a
 :class:`~repro.fleet.backpressure.BoundedMailbox`, and processes both
-report batches and fix requests strictly in arrival order on the event
-loop — the underlying server is not thread-safe, and serialization
-through one mailbox is what makes it safe to multiplex thousands of
-deployments in a single process.
+columnar report batches (handed to the server's ``ingest_columnar``)
+and fix requests strictly in arrival order on the event loop — the
+underlying server is not thread-safe, and serialization through one
+mailbox is what makes it safe to multiplex thousands of deployments in
+a single process.
 
 Two protections bound each actor's blast radius:
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.errors import (
     ConfigurationError,
@@ -39,7 +40,6 @@ from repro.fleet.backpressure import (
     BoundedMailbox,
     ColumnarIngestMessage,
     CommandMessage,
-    IngestMessage,
 )
 from repro.fleet.checkpoint import (
     CheckpointStore,
@@ -54,7 +54,6 @@ from repro.fleet.events import (
     EVENT_REPORTS_SHED,
     EventLog,
 )
-from repro.hardware.llrp import TagReportData
 from repro.obs.metrics import get_registry
 from repro.server.resilience import ResilientLocalizationServer
 
@@ -172,34 +171,11 @@ class DeploymentActor:
     # ------------------------------------------------------------------
     # Producer-facing API (call from the event loop thread)
     # ------------------------------------------------------------------
-    def offer(
-        self, reader_name: str, reports: Sequence[TagReportData]
-    ) -> int:
-        """Offer a batch for ingest; returns how many were enqueued.
-
-        Never blocks: overload sheds per the mailbox policy, and every
-        shed report is surfaced as an :data:`EVENT_REPORTS_SHED` event.
-        """
-        kept, shed = self.mailbox.offer(reader_name, list(reports))
-        if shed:
-            self._m_shed.inc(shed)
-            self.events.emit(
-                self.deployment_id,
-                EVENT_REPORTS_SHED,
-                reader_name=reader_name,
-                shed=shed,
-                pending=self.mailbox.pending_reports,
-            )
-        self._m_pending.set(self.mailbox.pending_reports)
-        return kept
-
     def offer_columnar(self, reader_name: str, cols) -> int:
         """Offer a columnar batch for ingest; returns how many rows kept.
 
-        The zero-copy twin of :meth:`offer` — the batch stays columnar
-        through the mailbox and is validated vectorized by
-        :meth:`~repro.server.resilience.ResilientLocalizationServer
-        .ingest_columnar`, with identical shedding policy and accounting.
+        Never blocks: overload sheds per the mailbox policy, and every
+        shed report is surfaced as an :data:`EVENT_REPORTS_SHED` event.
         """
         kept, shed = self.mailbox.offer_columnar(reader_name, cols)
         if shed:
@@ -264,7 +240,7 @@ class DeploymentActor:
         try:
             while True:
                 message = await self.mailbox.get()
-                if isinstance(message, (IngestMessage, ColumnarIngestMessage)):
+                if isinstance(message, ColumnarIngestMessage):
                     self._handle_ingest(message)
                     await self._maybe_auto_checkpoint()
                     continue
@@ -289,19 +265,13 @@ class DeploymentActor:
             self._running = False
 
     # -- ingest ---------------------------------------------------------
-    def _handle_ingest(self, message) -> None:
-        columnar = isinstance(message, ColumnarIngestMessage)
-        size = len(message.cols) if columnar else len(message.reports)
+    def _handle_ingest(self, message: ColumnarIngestMessage) -> None:
+        size = len(message.cols)
         self._m_delivered.inc(size)
         try:
-            if columnar:
-                accepted = self.server.ingest_columnar(
-                    message.reader_name, message.cols
-                )
-            else:
-                accepted = self.server.ingest(
-                    message.reader_name, message.reports
-                )
+            accepted = self.server.ingest_columnar(
+                message.reader_name, message.cols
+            )
             self.stats.accepted += accepted
             self._m_accepted.inc(accepted)
         except ConfigurationError as exc:

@@ -1,17 +1,18 @@
 """Bounded ingest mailboxes with load shedding and exact accounting.
 
 Each deployment actor owns one :class:`BoundedMailbox`.  Report batches
-and control commands share a single FIFO (so a fix request observes
-every batch offered before it), but only *reports* count against the
-high-water mark and only reports are ever shed — commands are
-infrastructure and always survive.
+(columnar, :class:`~repro.hardware.llrp_columnar.ColumnarReportBatch`:
+the one ingest format inside the fleet) and control commands share a
+single FIFO (so a fix request observes every batch offered before it),
+but only *report rows* count against the high-water mark and only rows
+are ever shed — commands are infrastructure and always survive.
 
-The shedding policy is the one the ISSUE names: when an ingest flood
-pushes the pending-report count over the high-water mark, the oldest
-*non-infrastructure* reports (tags absent from the spinning-tag
-registry — ordinary inventory traffic the pipeline would filter anyway)
-are dropped first; only if the backlog is still over the mark after all
-bystander traffic is gone do the oldest calibration reports go too.
+The shedding policy: when an ingest flood pushes the pending-report
+count over the high-water mark, the oldest *non-infrastructure* reports
+(tags absent from the spinning-tag registry — ordinary inventory
+traffic the pipeline would filter anyway) are dropped first; only if
+the backlog is still over the mark after all bystander traffic is gone
+do the oldest calibration reports go too.
 Every shed report increments a counter — the accounting invariant
 ``offered == enqueued_delivered + pending + shed`` is checked by the
 chaos harness and must hold exactly; silent loss is the one failure
@@ -27,7 +28,6 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
-from repro.hardware.llrp import TagReportData
 from repro.hardware.llrp_columnar import ColumnarReportBatch
 
 #: Default pending-report high-water mark per deployment.
@@ -63,20 +63,11 @@ class ShedStats:
 
 
 @dataclass
-class IngestMessage:
-    """A batch of reports offered by one reader."""
-
-    reader_name: str
-    reports: List[TagReportData]
-
-
-@dataclass
 class ColumnarIngestMessage:
-    """A columnar batch offered by one reader (pipe or wire transport).
+    """A columnar batch offered by one reader.
 
-    Counts against the high-water mark row-for-row like
-    :class:`IngestMessage`; shedding slices rows off with vectorized
-    masks instead of per-report Python loops.
+    Counts against the high-water mark row for row; shedding slices
+    rows off with masks (:meth:`ColumnarReportBatch.select`).
     """
 
     reader_name: str
@@ -96,30 +87,23 @@ class BoundedMailbox:
     """Single-consumer FIFO of ingest batches and commands.
 
     ``high_water`` bounds the number of *pending reports* (not batches);
-    :meth:`offer` never blocks and never raises on overload — it sheds
-    per the policy above and reports what it did, because a flooding
-    reader must degrade one deployment's data, not stall the event loop
-    or crash the actor.
+    :meth:`offer_columnar` never blocks and never raises on overload —
+    it sheds per the policy above and reports what it did, because a
+    flooding reader must degrade one deployment's data, not stall the
+    event loop or crash the actor.
+
+    ``is_infrastructure_epc`` names the registered spinning tags; without
+    it every row counts as infrastructure (the conservative default).
     """
 
     def __init__(
         self,
         high_water: int = DEFAULT_HIGH_WATER,
-        is_infrastructure: Optional[
-            Callable[[TagReportData], bool]
-        ] = None,
         is_infrastructure_epc: Optional[Callable[[str], bool]] = None,
     ) -> None:
         if high_water < 1:
             raise ValueError("high_water must be positive")
         self.high_water = high_water
-        if is_infrastructure is None and is_infrastructure_epc is not None:
-            is_infrastructure = lambda r: is_infrastructure_epc(r.epc)  # noqa: E731
-        self._is_infrastructure = is_infrastructure or (lambda _r: True)
-        # Columnar shedding classifies whole EPC-table slots at once;
-        # without an EPC-level predicate every columnar row counts as
-        # infrastructure (the conservative default, matching the object
-        # path's ``lambda _r: True``).
         self._is_infrastructure_epc = is_infrastructure_epc
         self._items: Deque[object] = deque()
         self._pending_reports = 0
@@ -129,34 +113,10 @@ class BoundedMailbox:
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
-    def offer(
-        self, reader_name: str, reports: List[TagReportData]
-    ) -> Tuple[int, int]:
-        """Enqueue a batch, shedding on overflow; returns (kept, shed)."""
-        reports = list(reports)
-        self.stats.offered += len(reports)
-        message = IngestMessage(reader_name, reports)
-        self._items.append(message)
-        self._pending_reports += len(reports)
-        shed = 0
-        if self._pending_reports > self.high_water:
-            shed = self._shed_to_high_water()
-        self._available.set()
-        # Shedding may have hit older batches rather than this one; what
-        # "kept" means to the caller is how much of *its* batch survived.
-        return len(message.reports), shed
-
     def offer_columnar(
         self, reader_name: str, cols: ColumnarReportBatch
     ) -> Tuple[int, int]:
-        """Enqueue a columnar batch, shedding on overflow; (kept, shed).
-
-        The columnar twin of :meth:`offer`: rows count against the
-        high-water mark exactly like object reports and share the same
-        two-pass shedding policy, but overload trims rows with
-        vectorized masks (:meth:`ColumnarReportBatch.select`) instead of
-        rebuilding Python lists.
-        """
+        """Enqueue a batch, shedding on overflow; returns (kept, shed)."""
         self.stats.offered += len(cols)
         message = ColumnarIngestMessage(reader_name, cols)
         self._items.append(message)
@@ -165,6 +125,8 @@ class BoundedMailbox:
         if self._pending_reports > self.high_water:
             shed = self._shed_to_high_water()
         self._available.set()
+        # Shedding may have hit older batches rather than this one; what
+        # "kept" means to the caller is how much of *its* batch survived.
         return len(message.cols), shed
 
     def put_command(self, message: CommandMessage) -> None:
@@ -180,57 +142,31 @@ class BoundedMailbox:
             if self._pending_reports <= self.high_water:
                 break
             if isinstance(item, ColumnarIngestMessage):
-                shed_total += self._shed_columnar_bystanders(item)
-                continue
-            if not isinstance(item, IngestMessage):
-                continue
-            kept: List[TagReportData] = []
-            for report in item.reports:
-                if (
-                    self._pending_reports > self.high_water
-                    and not self._is_infrastructure(report)
-                ):
-                    self._pending_reports -= 1
-                    shed_total += 1
-                    self.stats.shed_bystander += 1
-                else:
-                    kept.append(report)
-            item.reports = kept
+                shed_total += self._shed_bystanders(item)
         # Pass 2: still flooded by calibration traffic itself — shed the
         # oldest infrastructure reports too (counted separately; this is
         # the "extreme flood" signature operators alert on).
         for item in self._items:
             if self._pending_reports <= self.high_water:
                 break
-            if isinstance(item, ColumnarIngestMessage):
-                excess = min(
-                    len(item.cols),
-                    self._pending_reports - self.high_water,
-                )
-                if excess:
-                    item.cols = item.cols.select(
-                        np.arange(excess, len(item.cols))
-                    )
-                    self._pending_reports -= excess
-                    shed_total += excess
-                    self.stats.shed_infrastructure += excess
-                continue
-            if not isinstance(item, IngestMessage):
+            if not isinstance(item, ColumnarIngestMessage):
                 continue
             excess = min(
-                len(item.reports),
+                len(item.cols),
                 self._pending_reports - self.high_water,
             )
             if excess:
-                del item.reports[:excess]
+                item.cols = item.cols.select(
+                    np.arange(excess, len(item.cols))
+                )
                 self._pending_reports -= excess
                 shed_total += excess
                 self.stats.shed_infrastructure += excess
         self.stats.shed += shed_total
         return shed_total
 
-    def _shed_columnar_bystanders(self, item: ColumnarIngestMessage) -> int:
-        """Drop this batch's oldest non-infrastructure rows, vectorized."""
+    def _shed_bystanders(self, item: ColumnarIngestMessage) -> int:
+        """Drop this batch's oldest non-infrastructure rows."""
         if self._is_infrastructure_epc is None or not len(item.cols):
             return 0
         infrastructure_slots = np.fromiter(
@@ -264,12 +200,7 @@ class BoundedMailbox:
                 self._available.clear()
                 await self._available.wait()
             item = self._items.popleft()
-            if isinstance(item, IngestMessage):
-                if not item.reports:
-                    continue  # fully shed; nothing to deliver
-                self._pending_reports -= len(item.reports)
-                self.stats.delivered += len(item.reports)
-            elif isinstance(item, ColumnarIngestMessage):
+            if isinstance(item, ColumnarIngestMessage):
                 if not len(item.cols):
                     continue  # fully shed; nothing to deliver
                 self._pending_reports -= len(item.cols)

@@ -14,10 +14,11 @@ engine live in one worker, so every report for it must land on
 the worker that owns that state.  The hash route guarantees that; it is
 also why work stealing is deliberately absent.
 
-**One transport.**  Every offer travels pickled inside its message on
-the worker's pipe: object reports from ``offer``, ndarray columns from
-``offer_columnar``.  Batches are small (a served wire frame decodes to
-~49 reports, ~3.5 KB pickled), so no side channel is needed.
+**One transport.**  Every offer is a
+:class:`~repro.hardware.llrp_columnar.ColumnarReportBatch` from
+``offer_columnar``, its ndarray columns pickled inside the ``offer``
+message on the worker's pipe.  Batches are small (a served wire frame
+decodes to ~49 reports, ~3.5 KB pickled), so no side channel is needed.
 
 **Exact cross-incarnation ledger.**  Every offer the worker processes
 is acknowledged with a full accounting snapshot.  The parent tracks how
@@ -396,22 +397,6 @@ class ShardedFleet:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def offer(self, deployment_id: str, reader_name: str,
-              reports: Sequence) -> int:
-        """Route an object-path batch (pickled over the pipe)."""
-        route = self._route(deployment_id)
-        handle = self._workers[route.shard]
-        count = len(reports)
-        try:
-            self._send(
-                handle, ("offer", deployment_id, reader_name, list(reports))
-            )
-        except WorkerUnavailableError:
-            self._reject_down(route, deployment_id, reader_name, count)
-            return 0
-        route.dispatched += count
-        return count
-
     def offer_columnar(self, deployment_id: str, reader_name: str,
                        cols: ColumnarReportBatch) -> int:
         """Route a columnar batch (its columns pickled over the pipe)."""
@@ -419,10 +404,7 @@ class ShardedFleet:
         handle = self._workers[route.shard]
         count = len(cols)
         try:
-            self._send(
-                handle,
-                ("offer_cols_inline", deployment_id, reader_name, cols),
-            )
+            self._send(handle, ("offer", deployment_id, reader_name, cols))
         except WorkerUnavailableError:
             self._reject_down(route, deployment_id, reader_name, count)
             return 0

@@ -42,6 +42,7 @@ from repro.fleet.events import (
     EventLog,
 )
 from repro.hardware.llrp import TagReportData
+from repro.hardware.llrp_columnar import ColumnarReportBatch
 from repro.server.resilience import RetryPolicy
 
 
@@ -324,38 +325,29 @@ class FleetSupervisor:
         reader_name: str,
         reports: Sequence[TagReportData],
     ) -> int:
-        """Route a report batch to one deployment; returns enqueued count.
+        """Route a batch of report objects; returns enqueued count.
 
-        With the breaker OPEN (or the actor between incarnations) the
-        batch is rejected and counted — callers see the loss immediately
-        instead of discovering it at fix time.
+        The object callers' adapter: the batch is columnarized
+        (:meth:`ColumnarReportBatch.from_reports`) and takes the one
+        ingest path, :meth:`offer_columnar`.
         """
-        deployment = self._deployment(deployment_id)
-        actor = deployment.actor
-        if deployment.breaker is BreakerState.OPEN or actor is None:
-            deployment.ledger.rejected_open += len(reports)
-            self.events.emit(
-                deployment_id,
-                EVENT_INGEST_REJECTED,
-                reader_name=reader_name,
-                reports=len(reports),
-                error=f"breaker {deployment.breaker.value}"
-                if deployment.breaker is BreakerState.OPEN
-                else "actor restarting",
-            )
-            return 0
-        return actor.offer(reader_name, reports)
+        return self.offer_columnar(
+            deployment_id,
+            reader_name,
+            ColumnarReportBatch.from_reports(reports),
+        )
 
     def offer_columnar(
         self,
         deployment_id: str,
         reader_name: str,
-        cols,
+        cols: ColumnarReportBatch,
     ) -> int:
         """Route a columnar batch to one deployment; returns kept rows.
 
-        Same breaker/restart semantics as :meth:`offer`; the batch stays
-        columnar end-to-end (mailbox, actor, vectorized validation).
+        With the breaker OPEN (or the actor between incarnations) the
+        batch is rejected and counted — callers see the loss immediately
+        instead of discovering it at fix time.
         """
         deployment = self._deployment(deployment_id)
         actor = deployment.actor

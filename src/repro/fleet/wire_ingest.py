@@ -3,9 +3,9 @@
 This is the missing transport between raw reader TCP streams and the
 fleet serving tier: a :class:`WireIngestEndpoint` accepts connections,
 reassembles LLRP frames from arbitrary chunk fragments, decodes
-``RO_ACCESS_REPORT`` batches (columnar by default) and offers the
-reports to one :class:`~repro.fleet.supervisor.FleetSupervisor`
-deployment.  :func:`replay_into_supervisor` closes the loop for load
+``RO_ACCESS_REPORT`` batches into columns and offers them, as they are,
+to one :class:`~repro.fleet.supervisor.FleetSupervisor` deployment's
+``offer_columnar``.  :func:`replay_into_supervisor` closes the loop for load
 and regression testing: it serves a :class:`~repro.sim.wire_recording
 .WireRecording` through a loopback socket at 1x–1000x of the captured
 pacing and returns the fix the fleet produced, alongside the recorded
@@ -46,8 +46,8 @@ class WireIngestEndpoint:
 
     Each connection gets its own :class:`StreamingLLRPParser`, so
     interleaved readers cannot corrupt each other's reassembly state.
-    Decoded reports are offered to the supervisor's mailbox — the
-    endpoint inherits the fleet tier's backpressure (overload sheds,
+    Decoded columnar batches are offered to the supervisor's mailbox —
+    the endpoint inherits the fleet tier's backpressure (overload sheds,
     it never buffers unboundedly).
     """
 
@@ -56,14 +56,9 @@ class WireIngestEndpoint:
         supervisor: FleetSupervisor,
         deployment_id: str,
         reader_name: str,
-        decode: str = "columnar",
         on_error: str = "resync",
         read_bytes: int = DEFAULT_READ_BYTES,
     ) -> None:
-        if decode not in ("columnar", "object"):
-            raise ConfigurationError(
-                f"decode must be 'columnar' or 'object', got {decode!r}"
-            )
         if read_bytes < 1:
             raise ConfigurationError(
                 f"read_bytes must be positive, got {read_bytes}"
@@ -71,7 +66,6 @@ class WireIngestEndpoint:
         self.supervisor = supervisor
         self.deployment_id = deployment_id
         self.reader_name = reader_name
-        self.decode = decode
         self.on_error = on_error
         self.read_bytes = read_bytes
         self.connections: List[ConnectionReport] = []
@@ -145,19 +139,13 @@ class WireIngestEndpoint:
         chunk: bytes,
         report: ConnectionReport,
     ) -> None:
-        if self.decode == "columnar":
-            batches = [
-                cols.to_reports()
-                for _mid, cols in parser.feed_columnar(chunk)
-            ]
-        else:
-            batches = [batch.reports for _mid, batch in parser.feed(chunk)]
-        for reports in batches:
-            if not reports:
+        batches = [cols for _mid, cols in parser.feed_columnar(chunk)]
+        for cols in batches:
+            if not len(cols):
                 continue
-            report.reports_offered += len(reports)
-            report.reports_enqueued += self.supervisor.offer(
-                self.deployment_id, self.reader_name, reports
+            report.reports_offered += len(cols)
+            report.reports_enqueued += self.supervisor.offer_columnar(
+                self.deployment_id, self.reader_name, cols
             )
         if telemetry_enabled():
             registry = get_registry()
@@ -173,7 +161,7 @@ class WireIngestEndpoint:
                     "Complete LLRP report frames decoded off the wire.",
                     deployment=self.deployment_id,
                 ).inc(frames)
-            offered = sum(len(reports) for reports in batches)
+            offered = sum(len(cols) for cols in batches)
             if offered:
                 registry.counter(
                     "tagspin_wire_reports_total",
@@ -261,7 +249,6 @@ def clone_deployment_ids(deployment_id: str, deployments: int) -> List[str]:
 async def replay_into_supervisor(
     recording: WireRecording,
     speed: float = 100.0,
-    decode: str = "columnar",
     reader_name: str = "reader-1",
     antenna_port: int = 1,
     pipeline: Optional[PipelineConfig] = None,
@@ -298,9 +285,7 @@ async def replay_into_supervisor(
     for clone_id in deployment_ids:
         supervisor.add_deployment(clone_id, server_factory)
         endpoints.append(
-            WireIngestEndpoint(
-                supervisor, clone_id, reader_name, decode=decode
-            )
+            WireIngestEndpoint(supervisor, clone_id, reader_name)
         )
     results: List[ReplayResult] = []
     try:

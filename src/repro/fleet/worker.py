@@ -9,9 +9,9 @@ parent over one duplex pipe:
 
 * control requests (``add``/``locate``/``checkpoint``/``sync``/…)
   carry a request id and get a ``("reply", rid, ok, payload)``;
-* ingest (``offer`` with object reports, ``offer_cols_inline`` with a
-  pickled :class:`~repro.hardware.llrp_columnar.ColumnarReportBatch`)
-  is fire-and-forget, but every offer is acknowledged with a
+* ingest (``offer`` with a pickled
+  :class:`~repro.hardware.llrp_columnar.ColumnarReportBatch`) is
+  fire-and-forget, but every offer is acknowledged with a
   ``("ledger", deployment_id, accounting, metrics)`` snapshot — the
   exact report ledger plus this process's metrics-registry snapshot —
   so the parent can fold exact cross-incarnation accounting *and*
@@ -375,13 +375,6 @@ async def _serve(conn, index: int, options: WorkerOptions) -> None:
             break
         kind = message[0]
         if kind == "offer":
-            _, deployment_id, reader_name, reports = message
-            try:
-                supervisor.offer(deployment_id, reader_name, reports)
-                ledger_ack(deployment_id)
-            except Exception as exc:
-                reject_ingest(deployment_id, reader_name, exc)
-        elif kind == "offer_cols_inline":
             _, deployment_id, reader_name, cols = message
             try:
                 supervisor.offer_columnar(deployment_id, reader_name, cols)

@@ -10,24 +10,27 @@ module unpacks a whole frame into ndarray columns instead:
   report).  When every report in a frame matches that template, all
   columns are extracted with vectorized big-endian views over the frame
   buffer: zero per-report Python work.
-* **general path** — anything irregular (vendor extension missing,
-  unknown parameters, foreign EPC lengths) falls back to the same TLV
-  walk the object decoder performs, appending scalars into columns.
-  It shares the object decoder's helpers, so corrupt input raises the
+* **irregular frames** — anything else (vendor extension missing,
+  unknown parameters, foreign EPC lengths) is decoded by the object
+  decoder, :func:`~repro.hardware.llrp_wire.decode_ro_access_report`,
+  and columnarized.  There is one TLV walk, so corrupt input raises the
   *identical* :class:`~repro.errors.WireProtocolError` at the identical
   byte offset.
 
-Both paths are differentially bit-identical to
-:func:`~repro.hardware.llrp_wire.decode_ro_access_report` — the phase
-column replicates :func:`~repro.hardware.llrp_wire.decode_phase`'s
-exact float64 operation order, so ``cols.to_reports()`` compares equal
-to the object decode on every input (property- and fuzz-tested).
+The fast path is differentially bit-identical to the object decoder —
+the phase column replicates
+:func:`~repro.hardware.llrp_wire.decode_phase`'s exact float64
+operation order, so ``cols.to_reports()`` compares equal to the object
+decode on every input (property- and fuzz-tested).
+
+:class:`ColumnarReportBatch` is also the fleet's one ingest format:
+mailboxes, sharded workers and the server take it, and
+:meth:`ColumnarReportBatch.from_reports` adapts report objects to it.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -36,21 +39,10 @@ import numpy as np
 from repro.errors import WireProtocolError
 from repro.hardware.llrp import TagReportData
 from repro.hardware.llrp_wire import (
-    CUSTOM_SUBTYPE_PHASE,
-    IMPINJ_VENDOR_ID,
     MSG_RO_ACCESS_REPORT,
-    PARAM_ANTENNA_ID,
-    PARAM_CHANNEL_INDEX,
-    PARAM_CUSTOM,
-    PARAM_EPC_96,
-    PARAM_FIRST_SEEN_UTC,
-    PARAM_PEAK_RSSI,
-    PARAM_TAG_REPORT_DATA,
     PHASE_UNITS,
-    _read_tlv,
-    _unpack_param,
     decode_message_header,
-    decode_phase,
+    decode_ro_access_report,
     encode_tag_report,
 )
 
@@ -66,10 +58,11 @@ class ColumnarReportBatch:
     """One decoded report batch as parallel ndarray columns.
 
     ``epcs`` is the deduplicated EPC table; ``epc_index[i]`` indexes the
-    i-th report's EPC into it.  Timestamp columns may be ``uint64``
-    (wire decode — the field is a u64 on the wire) or ``int64``
-    (:meth:`from_reports`, which must represent the negative timestamps
-    the validation layer screens for).
+    i-th report's EPC into it.  Timestamp columns are ``uint64`` off the
+    wire (the field is a u64 there).  :meth:`from_reports` keeps every
+    timestamp exact: ``int64`` when all fit (it must represent the
+    negative timestamps the validation layer screens for), else
+    ``uint64``, else Python ints in an ``object`` column.
     """
 
     epcs: List[str]
@@ -119,7 +112,7 @@ class ColumnarReportBatch:
     def from_reports(
         cls, reports: Sequence[TagReportData]
     ) -> "ColumnarReportBatch":
-        """Columnarize object reports (timestamps as signed int64)."""
+        """Columnarize object reports; timestamps stay exact."""
         epcs: List[str] = []
         table: Dict[str, int] = {}
         index = np.empty(len(reports), dtype=np.int64)
@@ -138,11 +131,11 @@ class ColumnarReportBatch:
             channel_index=np.array(
                 [r.channel_index for r in reports], dtype=np.int64
             ),
-            reader_timestamp_us=np.array(
-                [r.reader_timestamp_us for r in reports], dtype=np.int64
+            reader_timestamp_us=_timestamp_column(
+                [r.reader_timestamp_us for r in reports]
             ),
-            host_timestamp_us=np.array(
-                [r.host_timestamp_us for r in reports], dtype=np.int64
+            host_timestamp_us=_timestamp_column(
+                [r.host_timestamp_us for r in reports]
             ),
             phase_rad=np.array(
                 [r.phase_rad for r in reports], dtype=np.float64
@@ -199,6 +192,16 @@ class ColumnarReportBatch:
         return [int(p) for p in ports[np.argsort(first)]]
 
 
+def _timestamp_column(values: List[int]) -> np.ndarray:
+    """``int64`` if every value fits, else ``uint64``, else exact ints."""
+    for dtype in (np.int64, np.uint64):
+        try:
+            return np.array(values, dtype=dtype)
+        except OverflowError:
+            continue
+    return np.array(values, dtype=object)
+
+
 # ---------------------------------------------------------------------------
 # Regular-layout fast path
 # ---------------------------------------------------------------------------
@@ -250,7 +253,7 @@ def _decode_regular(records: np.ndarray) -> ColumnarReportBatch:
     # Dedup EPCs against a dict of 12-byte slices: a handful of tags
     # repeat across thousands of reads, so this is a few dict hits per
     # report — ~10x cheaper than np.unique(axis=0)'s row sort, and the
-    # table comes out in first-appearance order like the general path.
+    # table comes out in first-appearance order like from_reports.
     epc_blob = records[:, _EPC].tobytes()
     table: Dict[bytes, int] = {}
     epcs: List[str] = []
@@ -293,107 +296,6 @@ def _decode_regular(records: np.ndarray) -> ColumnarReportBatch:
 
 
 # ---------------------------------------------------------------------------
-# General TLV walk (irregular layouts)
-# ---------------------------------------------------------------------------
-
-def _decode_general(
-    data: bytes, base_offset: int
-) -> ColumnarReportBatch:
-    """Column-appending TLV walk, semantics-identical to object decode."""
-    epcs: List[str] = []
-    table: Dict[str, int] = {}
-    epc_index: List[int] = []
-    antennas: List[int] = []
-    channels: List[int] = []
-    reader_uss: List[int] = []
-    host_uss: List[int] = []
-    phases: List[float] = []
-    rssis: List[float] = []
-
-    offset = 10
-    while offset < len(data):
-        body_offset = offset + 4
-        param_type, body, offset = _read_tlv(data, offset, base_offset)
-        if param_type != PARAM_TAG_REPORT_DATA:
-            continue
-        epc = ""
-        antenna = channel = 0
-        rssi = 0.0
-        reader_us = host_us = 0
-        phase = 0.0
-        inner = 0
-        report_base = base_offset + body_offset
-        while inner < len(body):
-            param_offset = report_base + inner
-            inner_type, inner_body, inner = _read_tlv(
-                body, inner, report_base
-            )
-            if inner_type == PARAM_EPC_96:
-                epc = inner_body.hex().upper()
-            elif inner_type == PARAM_ANTENNA_ID:
-                (antenna,) = _unpack_param(
-                    ">H", inner_body, inner_type, param_offset
-                )
-            elif inner_type == PARAM_PEAK_RSSI:
-                (raw,) = _unpack_param(
-                    ">b", inner_body, inner_type, param_offset
-                )
-                rssi = float(raw)
-            elif inner_type == PARAM_CHANNEL_INDEX:
-                (channel,) = _unpack_param(
-                    ">H", inner_body, inner_type, param_offset
-                )
-            elif inner_type == PARAM_FIRST_SEEN_UTC:
-                (reader_us,) = _unpack_param(
-                    ">Q", inner_body, inner_type, param_offset
-                )
-            elif inner_type == PARAM_CUSTOM:
-                if len(inner_body) < 8:
-                    raise WireProtocolError(
-                        f"truncated 'Custom' parameter body: expected at "
-                        f"least 8 bytes, got {len(inner_body)}",
-                        offset=param_offset,
-                    )
-                vendor, subtype = struct.unpack_from(">II", inner_body, 0)
-                if (
-                    vendor != IMPINJ_VENDOR_ID
-                    or subtype != CUSTOM_SUBTYPE_PHASE
-                ):
-                    continue
-                _v, _s, units, host_us = _unpack_param(
-                    ">IIHQ", inner_body, inner_type, param_offset
-                )
-                phase = decode_phase(units)
-        if not epc:
-            raise WireProtocolError(
-                "TagReportData without an EPC-96 parameter",
-                offset=report_base,
-            )
-        slot = table.get(epc)
-        if slot is None:
-            slot = table[epc] = len(epcs)
-            epcs.append(epc)
-        epc_index.append(slot)
-        antennas.append(antenna)
-        channels.append(channel)
-        reader_uss.append(reader_us)
-        host_uss.append(host_us)
-        phases.append(phase)
-        rssis.append(rssi)
-
-    return ColumnarReportBatch(
-        epcs=epcs,
-        epc_index=np.array(epc_index, dtype=np.int64),
-        antenna_port=np.array(antennas, dtype=np.int64),
-        channel_index=np.array(channels, dtype=np.int64),
-        reader_timestamp_us=np.array(reader_uss, dtype=np.uint64),
-        host_timestamp_us=np.array(host_uss, dtype=np.uint64),
-        phase_rad=np.array(phases, dtype=np.float64),
-        rssi_dbm=np.array(rssis, dtype=np.float64),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
@@ -403,7 +305,8 @@ def decode_ro_access_report_columnar(
     """Parse an RO_ACCESS_REPORT frame into columns.
 
     Differentially identical to
-    :func:`~repro.hardware.llrp_wire.decode_ro_access_report`:
+    :func:`~repro.hardware.llrp_wire.decode_ro_access_report`, which
+    decodes the frames the fast path does not take:
     ``cols.to_reports()`` equals the object decode, and corrupt frames
     raise the same typed errors at the same byte offsets.
     """
@@ -432,4 +335,9 @@ def decode_ro_access_report_columnar(
             np.all(records[:, _FIXED_MASK] == _TEMPLATE[_FIXED_MASK])
         ):
             return message_id, _decode_regular(records)
-    return message_id, _decode_general(data, base_offset)
+    _mid, batch = decode_ro_access_report(data, base_offset)
+    cols = ColumnarReportBatch.from_reports(batch.reports)
+    # Wire timestamps are u64, whatever from_reports chose.
+    cols.reader_timestamp_us = cols.reader_timestamp_us.astype(np.uint64)
+    cols.host_timestamp_us = cols.host_timestamp_us.astype(np.uint64)
+    return message_id, cols

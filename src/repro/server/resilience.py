@@ -6,7 +6,10 @@ robustness stack:
 
 * every ingested report passes a per-stream
   :class:`~repro.robustness.validation.ReportValidator` (duplicates,
-  corrupt fields and pi slips never reach a buffer);
+  corrupt fields and pi slips never reach a buffer); report objects
+  (:meth:`ResilientLocalizationServer.ingest`) and columnar batches
+  (:meth:`ResilientLocalizationServer.ingest_columnar`, the fleet's
+  format) differ only in how they split a batch by antenna port;
 * every fix runs through the *gated* pipeline
   (:meth:`~repro.core.pipeline.TagspinSystem.locate_2d_diagnosed`),
   which excludes untrustworthy disks and falls back from R to Q;
@@ -30,8 +33,6 @@ import random
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Optional, Tuple
-
-import numpy as np
 
 from repro.core.locator import Fix2D, Fix3D
 from repro.core.pipeline import PipelineConfig
@@ -180,46 +181,43 @@ class ResilientLocalizationServer(LocalizationServer):
         for report in reports:
             validate_stream_key(reader_name, report.antenna_port)
             by_port.setdefault(report.antenna_port, []).append(report)
-        accepted = 0
-        tracer = get_tracer()
-        with tracer.span("ingest", reader=reader_name, path="object") as span:
-            for port, port_reports in by_port.items():
-                validator = self._validators.setdefault(
-                    (reader_name, port), ReportValidator(self.validation)
-                )
-                with tracer.span("validate", port=port):
-                    survivors = validator.process(port_reports)
-                accepted += super().ingest(reader_name, survivors)
-            span.annotate(accepted=accepted)
-        return accepted
+        return self._screen_and_buffer(
+            reader_name, by_port, ReportValidator.process
+        )
 
     def ingest_columnar(self, reader_name: str, cols) -> int:
         """Validate and buffer a columnar batch; returns the number accepted.
 
-        The wire-ingest counterpart of :meth:`ingest`: the batch arrives
-        as a :class:`~repro.hardware.llrp_columnar.ColumnarReportBatch`,
-        the stateless screens run vectorized over its columns
-        (:meth:`~repro.robustness.validation.ReportValidator
-        .process_columnar`), and only validator-approved survivors are
-        materialized as objects for the stream buffers.  Identical
-        accounting and buffer contents to ``ingest(cols.to_reports())``.
+        The batch (a :class:`~repro.hardware.llrp_columnar
+        .ColumnarReportBatch`, the fleet's ingest format) is split by
+        antenna port and screened by :meth:`~repro.robustness.validation
+        .ReportValidator.process_columnar`; accounting and buffers are
+        those of ``ingest(cols.to_reports())``.
         """
         validate_stream_key(reader_name, 0)
         ports = cols.antenna_ports()
         for port in ports:
             validate_stream_key(reader_name, port)
+        by_port = {
+            port: cols.select(cols.antenna_port == port) for port in ports
+        }
+        return self._screen_and_buffer(
+            reader_name, by_port, ReportValidator.process_columnar
+        )
+
+    def _screen_and_buffer(self, reader_name: str, by_port: dict,
+                           screen) -> int:
+        """Screen each port's chunk with its stream's validator, buffer
+        the survivors; ``screen`` is the validator method to call."""
         accepted = 0
         tracer = get_tracer()
-        with tracer.span(
-            "ingest", reader=reader_name, path="columnar"
-        ) as span:
-            for port in ports:
-                sub = cols.select(np.asarray(cols.antenna_port == port))
+        with tracer.span("ingest", reader=reader_name) as span:
+            for port, chunk in by_port.items():
                 validator = self._validators.setdefault(
                     (reader_name, port), ReportValidator(self.validation)
                 )
                 with tracer.span("validate", port=port):
-                    survivors = validator.process_columnar(sub)
+                    survivors = screen(validator, chunk)
                 accepted += LocalizationServer.ingest(
                     self, reader_name, survivors
                 )

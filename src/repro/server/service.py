@@ -99,20 +99,29 @@ class LocalizationServer:
         """
         validate_stream_key(reader_name, 0)
         accepted = 0
-        for report in reports:
-            if report.antenna_port < 0:
-                raise ConfigurationError(
-                    f"antenna_port must be non-negative, got "
-                    f"{report.antenna_port!r} (reader {reader_name!r})"
-                )
-            key = (reader_name, report.antenna_port)
-            buffer = self._streams.setdefault(key, StreamBuffer())
-            buffer.reports.append(report)
-            if len(buffer.reports) > self.max_buffer:
-                # Keep the freshest window; old snapshots describe a stale
-                # disk phase anyway.
-                del buffer.reports[: len(buffer.reports) - self.max_buffer]
-            accepted += 1
+        touched: Dict[int, StreamBuffer] = {}
+        try:
+            for report in reports:
+                port = report.antenna_port
+                buffer = touched.get(port)
+                if buffer is None:
+                    if port < 0:
+                        raise ConfigurationError(
+                            f"antenna_port must be non-negative, got "
+                            f"{port!r} (reader {reader_name!r})"
+                        )
+                    buffer = touched[port] = self._streams.setdefault(
+                        (reader_name, port), StreamBuffer()
+                    )
+                buffer.reports.append(report)
+                accepted += 1
+        finally:
+            # Keep the freshest window (old snapshots describe a stale
+            # disk phase anyway), trimmed once per call, not per report.
+            for buffer in touched.values():
+                excess = len(buffer.reports) - self.max_buffer
+                if excess > 0:
+                    del buffer.reports[:excess]
         return accepted
 
     def streams(self) -> List[StreamKey]:

@@ -33,15 +33,43 @@ def make_series():
 
 
 @pytest.fixture(scope="session")
-def calibrated_scenario_2d() -> TagspinScenario:
-    """A paper-default 2D scenario with the orientation prelude already run.
-
-    Session-scoped: building it costs a simulated calibration campaign, and
-    the scenario object is read-only for localization queries.
-    """
+def _prelude_2d():
+    """The calibrated 2D scenario and its RNG state right after the prelude."""
     scenario = paper_default_scenario(seed=11)
     scenario.run_orientation_prelude()
-    return scenario
+    return scenario, scenario.rng.bit_generator.state
+
+
+@pytest.fixture(scope="session")
+def calibrated_scenario_2d(_prelude_2d) -> TagspinScenario:
+    """A paper-default 2D scenario with the orientation prelude already run.
+
+    Session-scoped: building it costs a simulated calibration campaign.
+    It is not read-only: every ``collect()`` advances its RNG, so a
+    module's batch depends on how many collects ran before it.
+    :func:`collect_after_prelude_2d` gives a batch that does not.
+    """
+    return _prelude_2d[0]
+
+
+@pytest.fixture(scope="session")
+def collect_after_prelude_2d(_prelude_2d):
+    """``collect(pose)`` from the RNG state right after the prelude.
+
+    Returns the batch a module gets when it runs alone, whatever ran
+    before it, and puts the session's RNG stream back afterwards.
+    """
+    scenario, state = _prelude_2d
+
+    def collect(pose):
+        session_state = scenario.rng.bit_generator.state
+        scenario.rng.bit_generator.state = state
+        try:
+            return scenario.collect(pose)
+        finally:
+            scenario.rng.bit_generator.state = session_state
+
+    return collect
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InsufficientDataError
 from repro.hardware.llrp import TagReportData
+from repro.hardware.llrp_columnar import ColumnarReportBatch
 from repro.robustness.diagnostics import DegradationState
 from repro.robustness.validation import QuarantineStats
 
@@ -34,6 +35,11 @@ def make_report(
         phase_rad=phase,
         rssi_dbm=-55.0,
     )
+
+
+def columns(reports) -> ColumnarReportBatch:
+    """A columnar batch of ``reports``, the fleet's one ingest format."""
+    return ColumnarReportBatch.from_reports(list(reports))
 
 
 class FakeLocalizationServer:
@@ -65,6 +71,9 @@ class FakeLocalizationServer:
             stats.received += 1
             stats.accepted += 1
         return len(reports)
+
+    def ingest_columnar(self, reader_name: str, cols) -> int:
+        return self.ingest(reader_name, cols.to_reports())
 
     # -- queries -------------------------------------------------------
     def locate_antenna_2d_diagnosed(

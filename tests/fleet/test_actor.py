@@ -8,6 +8,7 @@ import pytest
 
 from fleet_helpers import (
     RecordingServerFactory,
+    columns,
     make_report,
 )
 
@@ -51,7 +52,7 @@ class TestServing:
         actor = DeploymentActor("dep-1", factory)
 
         async def body():
-            actor.offer("r1", [make_report(i) for i in range(4)])
+            actor.offer_columnar("r1", columns(make_report(i) for i in range(4)))
             return await actor.request_fix("r1", 1)
 
         fix, diag = run_with_actor(actor, body)
@@ -68,7 +69,7 @@ class TestServing:
             with pytest.raises(InsufficientDataError):
                 await actor.request_fix("silent-reader", 1)
             # Still serving afterwards:
-            actor.offer("r1", [make_report(0)])
+            actor.offer_columnar("r1", columns([make_report(0)]))
             return await actor.request_fix("r1", 1)
 
         fix, _diag = run_with_actor(actor, body)
@@ -84,13 +85,15 @@ class TestServing:
         async def body():
             server = factory.servers[0]
             server.ingest_error = ConfigurationError("bad stream key")
-            actor.offer("bad reader", [make_report(0), make_report(1)])
+            actor.offer_columnar(
+                "bad reader", columns([make_report(0), make_report(1)])
+            )
             server_ok = factory.servers[0]
             # Wait for the rejection to be processed, then recover.
             while actor.mailbox.pending_reports:
                 await asyncio.sleep(0.001)
             server_ok.ingest_error = None
-            actor.offer("r1", [make_report(2)])
+            actor.offer_columnar("r1", columns([make_report(2)]))
             return await actor.request_fix("r1", 1)
 
         run_with_actor(actor, body)
@@ -111,7 +114,9 @@ class TestServing:
             events=events,
         )
         # No run loop: offer synchronously so nothing drains.
-        actor.offer("r1", [make_report(i, epc="NOBODY") for i in range(5)])
+        actor.offer_columnar(
+            "r1", columns(make_report(i, epc="NOBODY") for i in range(5))
+        )
         assert events.count(EVENT_REPORTS_SHED) == 1
         event = events.events(kind=EVENT_REPORTS_SHED)[0]
         assert event.detail["shed"] == 2
@@ -129,7 +134,7 @@ class TestDeadline:
         )
 
         async def body():
-            actor.offer("r1", [make_report(0)])
+            actor.offer_columnar("r1", columns([make_report(0)]))
             with pytest.raises(FixDeadlineError):
                 await actor.request_fix("r1", 1)
             # The actor keeps serving after the miss, and the stray
@@ -153,7 +158,7 @@ class TestDeadline:
         )
 
         async def body():
-            actor.offer("r1", [make_report(0)])
+            actor.offer_columnar("r1", columns([make_report(0)]))
             return await actor.request_fix("r1", 1)
 
         fix, _diag = run_with_actor(actor, body)
@@ -168,7 +173,7 @@ class TestCrash:
 
         async def scenario():
             run_task = asyncio.ensure_future(actor.run())
-            actor.offer("r1", [make_report(0)])
+            actor.offer_columnar("r1", columns([make_report(0)]))
             actor.inject_crash(RuntimeError("boom"))
             with pytest.raises(RuntimeError, match="boom"):
                 await run_task
@@ -185,7 +190,7 @@ class TestCheckpointing:
         actor = DeploymentActor("dep-1", factory, events=events, store=store)
 
         async def body():
-            actor.offer("r1", [make_report(i) for i in range(6)])
+            actor.offer_columnar("r1", columns(make_report(i) for i in range(6)))
             seq = await actor.request_checkpoint()
             assert seq == 1
             return seq
@@ -225,7 +230,7 @@ class TestCheckpointing:
 
         async def body():
             for i in range(5):
-                actor.offer("r1", [make_report(i)])
+                actor.offer_columnar("r1", columns([make_report(i)]))
             while actor.mailbox.pending_reports:
                 await asyncio.sleep(0.001)
 
@@ -239,7 +244,7 @@ class TestCheckpointing:
         actor = DeploymentActor("dep-1", factory, events=events, store=store)
 
         async def body():
-            actor.offer("r1", [make_report(i) for i in range(4)])
+            actor.offer_columnar("r1", columns(make_report(i) for i in range(4)))
             await actor.request_checkpoint()
 
         run_with_actor(actor, body)

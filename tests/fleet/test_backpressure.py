@@ -6,12 +6,12 @@ import asyncio
 
 import pytest
 
-from fleet_helpers import make_report
+from fleet_helpers import columns, make_report
 
 from repro.fleet.backpressure import (
     BoundedMailbox,
+    ColumnarIngestMessage,
     CommandMessage,
-    IngestMessage,
 )
 
 SPIN = "EPC-SPIN-1"
@@ -19,23 +19,23 @@ BYSTANDER = "EPC-OTHER-9"
 
 
 def spin_reports(n, start=0):
-    return [make_report(start + i, epc=SPIN) for i in range(n)]
+    return columns(make_report(start + i, epc=SPIN) for i in range(n))
 
 
 def bystander_reports(n, start=0):
-    return [make_report(start + i, epc=BYSTANDER) for i in range(n)]
+    return columns(make_report(start + i, epc=BYSTANDER) for i in range(n))
 
 
 def infra_mailbox(high_water):
     return BoundedMailbox(
-        high_water=high_water, is_infrastructure=lambda r: r.epc == SPIN
+        high_water=high_water, is_infrastructure_epc=lambda epc: epc == SPIN
     )
 
 
 class TestOfferAndGet:
     def test_under_high_water_nothing_shed(self):
         box = infra_mailbox(100)
-        kept, shed = box.offer("r1", spin_reports(40))
+        kept, shed = box.offer_columnar("r1", spin_reports(40))
         assert (kept, shed) == (40, 0)
         assert box.pending_reports == 40
         assert box.stats.offered == 40
@@ -45,18 +45,20 @@ class TestOfferAndGet:
         box = infra_mailbox(100)
 
         async def scenario():
-            box.offer("r1", spin_reports(2))
+            box.offer_columnar("r1", spin_reports(2))
             box.put_command(CommandMessage(kind="locate"))
-            box.offer("r1", spin_reports(3, start=2))
+            box.offer_columnar("r1", spin_reports(3, start=2))
             first = await box.get()
             second = await box.get()
             third = await box.get()
             return first, second, third
 
         first, second, third = asyncio.run(scenario())
-        assert isinstance(first, IngestMessage) and len(first.reports) == 2
+        assert isinstance(first, ColumnarIngestMessage)
+        assert len(first.cols) == 2
         assert isinstance(second, CommandMessage) and second.kind == "locate"
-        assert isinstance(third, IngestMessage) and len(third.reports) == 3
+        assert isinstance(third, ColumnarIngestMessage)
+        assert len(third.cols) == 3
         assert box.stats.delivered == 5
         assert box.pending_reports == 0
 
@@ -66,7 +68,7 @@ class TestOfferAndGet:
         async def scenario():
             async def producer():
                 await asyncio.sleep(0.01)
-                box.offer("r1", spin_reports(1))
+                box.offer_columnar("r1", spin_reports(1))
 
             producer_task = asyncio.ensure_future(producer())
             message = await asyncio.wait_for(box.get(), timeout=2.0)
@@ -74,14 +76,14 @@ class TestOfferAndGet:
             return message
 
         message = asyncio.run(scenario())
-        assert isinstance(message, IngestMessage)
+        assert isinstance(message, ColumnarIngestMessage)
 
 
 class TestShedding:
     def test_bystanders_shed_before_infrastructure(self):
         box = infra_mailbox(10)
-        box.offer("r1", bystander_reports(8))
-        kept, shed = box.offer("r1", spin_reports(8))
+        box.offer_columnar("r1", bystander_reports(8))
+        kept, shed = box.offer_columnar("r1", spin_reports(8))
         assert shed == 6  # 16 pending -> 10, all six from the bystanders
         assert kept == 8  # the new (infrastructure) batch was untouched
         assert box.stats.shed_bystander == 6
@@ -90,9 +92,9 @@ class TestShedding:
 
     def test_oldest_bystanders_go_first(self):
         box = infra_mailbox(5)
-        box.offer("r1", bystander_reports(3, start=0))
-        box.offer("r1", bystander_reports(3, start=100))
-        box.offer("r1", spin_reports(1, start=200))
+        box.offer_columnar("r1", bystander_reports(3, start=0))
+        box.offer_columnar("r1", bystander_reports(3, start=100))
+        box.offer_columnar("r1", spin_reports(1, start=200))
         # 7 pending -> shed 2, both from the *first* bystander batch.
         assert box.stats.shed == 2
 
@@ -103,15 +105,15 @@ class TestShedding:
             return out
 
         messages = asyncio.run(collect())
-        survivors = [r for m in messages for r in m.reports]
+        survivors = [r for m in messages for r in m.cols.to_reports()]
         timestamps = [r.reader_timestamp_us for r in survivors]
         assert 0 not in timestamps and 1_000 not in timestamps
         assert 2_000 in timestamps  # third report of the first batch kept
 
     def test_infrastructure_shed_only_when_flooded_by_it(self):
         box = infra_mailbox(5)
-        box.offer("r1", spin_reports(4))
-        _kept, shed = box.offer("r1", spin_reports(4, start=4))
+        box.offer_columnar("r1", spin_reports(4))
+        _kept, shed = box.offer_columnar("r1", spin_reports(4, start=4))
         assert shed == 3
         assert box.stats.shed_bystander == 0
         assert box.stats.shed_infrastructure == 3
@@ -121,7 +123,7 @@ class TestShedding:
     def test_commands_survive_any_flood(self):
         box = infra_mailbox(3)
         box.put_command(CommandMessage(kind="checkpoint"))
-        box.offer("r1", bystander_reports(50))
+        box.offer_columnar("r1", bystander_reports(50))
         assert box.pending_reports == 3
 
         async def first():
@@ -132,22 +134,22 @@ class TestShedding:
 
     def test_fully_shed_batches_are_skipped_not_delivered(self):
         box = infra_mailbox(2)
-        box.offer("r1", bystander_reports(2))
-        box.offer("r1", spin_reports(2, start=10))  # sheds both bystanders
+        box.offer_columnar("r1", bystander_reports(2))
+        box.offer_columnar("r1", spin_reports(2, start=10))  # sheds both bystanders
 
         async def first():
             return await box.get()
 
         message = asyncio.run(first())
-        assert [r.epc for r in message.reports] == [SPIN, SPIN]
+        assert [r.epc for r in message.cols.to_reports()] == [SPIN, SPIN]
 
 
 class TestAccounting:
     def test_offered_equals_delivered_plus_pending_plus_shed(self):
         box = infra_mailbox(7)
-        box.offer("r1", bystander_reports(5))
-        box.offer("r2", spin_reports(6))
-        box.offer("r1", spin_reports(4, start=50))
+        box.offer_columnar("r1", bystander_reports(5))
+        box.offer_columnar("r2", spin_reports(6))
+        box.offer_columnar("r1", spin_reports(4, start=50))
 
         async def drain_two():
             await box.get()
@@ -164,7 +166,7 @@ class TestAccounting:
 
     def test_drain_counts_undelivered_and_returns_commands(self):
         box = infra_mailbox(100)
-        box.offer("r1", spin_reports(9))
+        box.offer_columnar("r1", spin_reports(9))
         command = CommandMessage(kind="locate")
         box.put_command(command)
         lost, commands = box.drain()

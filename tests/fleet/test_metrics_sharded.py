@@ -13,6 +13,8 @@ import asyncio
 
 import pytest
 
+from fleet_helpers import columns
+
 from repro.fleet.sharding import ShardedFleet, shard_for
 from repro.fleet.supervisor import FleetSupervisor
 from repro.fleet.worker import DeploymentSpec
@@ -68,8 +70,8 @@ class TestShardedMetricsMerge:
                     fleet.add_deployment(
                         make_spec(calibrated_scenario_2d, deployment_id)
                     )
-                    fleet.offer(
-                        deployment_id, "reader-1", reports[:half]
+                    fleet.offer_columnar(
+                        deployment_id, "reader-1", columns(reports[:half])
                     )
                 fleet.drain(timeout_s=120.0)
                 for deployment_id in (victim, survivor):
@@ -99,8 +101,8 @@ class TestShardedMetricsMerge:
 
                 fleet.restart_shard(shard)
                 for deployment_id in (victim, survivor):
-                    fleet.offer(
-                        deployment_id, "reader-1", reports[half:]
+                    fleet.offer_columnar(
+                        deployment_id, "reader-1", columns(reports[half:])
                     )
                 fleet.drain(timeout_s=120.0)
                 for deployment_id in (victim, survivor):
@@ -187,8 +189,8 @@ class TestShardedMetricsMerge:
                     await wait_until(
                         lambda: running_actor(supervisor, "dep-inproc")
                     )
-                    supervisor.offer(
-                        "dep-inproc", "reader-1", collected.reports
+                    supervisor.offer_columnar(
+                        "dep-inproc", "reader-1", columns(collected.reports)
                     )
                     await supervisor.locate_2d(
                         "dep-inproc", "reader-1", 1

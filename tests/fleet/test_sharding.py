@@ -18,6 +18,8 @@ import time
 import numpy as np
 import pytest
 
+from fleet_helpers import columns
+
 from repro.core.geometry import Point3
 from repro.errors import ConfigurationError, WorkerUnavailableError
 from repro.fleet.backpressure import BoundedMailbox
@@ -198,8 +200,8 @@ class TestShardedFleetServing:
                 fleet.add_deployment(
                     make_spec(calibrated_scenario_2d, ids[0])
                 )
-            # Same rows as columnar batches and as report lists, both
-            # pickled on the worker's pipe.
+            # Same rows as slices of one batch and as batches built
+            # from report lists, both pickled on the worker's pipe.
             step = 200
             for start in range(0, len(cols), step):
                 rows = np.arange(start, min(start + step, len(cols)))
@@ -207,10 +209,10 @@ class TestShardedFleetServing:
                     "dep-shm", "reader-1", cols.select(rows)
                 )
             for start in range(0, len(collected.reports), step):
-                fleet.offer(
+                fleet.offer_columnar(
                     "dep-obj",
                     "reader-1",
-                    collected.reports[start : start + step],
+                    columns(collected.reports[start : start + step]),
                 )
             fleet.drain(timeout_s=120.0)
             for deployment_id in ids:
@@ -292,7 +294,9 @@ class TestShardedFleetServing:
                 make_spec(calibrated_scenario_2d, victim)
             )
             shard = fleet.shard_of(victim)
-            fleet.offer(victim, "reader-1", reports[:half])
+            fleet.offer_columnar(
+                victim, "reader-1", columns(reports[:half])
+            )
             assert fleet.checkpoint(victim) > 0
             old_pid = fleet.worker_info()[shard]["pid"]
             fleet.kill_worker(shard)
@@ -300,7 +304,9 @@ class TestShardedFleetServing:
             with pytest.raises(ProcessLookupError):
                 os.kill(old_pid, 0)
             # Offers while the shard is down are rejected and counted.
-            assert fleet.offer(victim, "reader-1", reports[:10]) == 0
+            assert fleet.offer_columnar(
+                victim, "reader-1", columns(reports[:10])
+            ) == 0
             ledger = fleet.accounting(victim)
             assert ledger["rejected_open"] == 10
             assert_balanced(ledger)
@@ -313,7 +319,9 @@ class TestShardedFleetServing:
             stats = fleet.actor_stats(victim)
             assert stats["warm_restored"] is True
 
-            fleet.offer(victim, "reader-1", reports[half:])
+            fleet.offer_columnar(
+                victim, "reader-1", columns(reports[half:])
+            )
             fleet.drain(timeout_s=120.0)
             fix, _diag = fleet.locate_2d_sync(victim, "reader-1")
             assert fix.position.x == pytest.approx(
@@ -348,7 +356,9 @@ class TestShardedFleetServing:
             fleet.add_deployment(
                 make_spec(calibrated_scenario_2d, "dep-ucd")
             )
-            fleet.offer("dep-ucd", "reader-1", reports[:100])
+            fleet.offer_columnar(
+                "dep-ucd", "reader-1", columns(reports[:100])
+            )
             fleet.drain(timeout_s=120.0)
             handle = fleet._workers[0]
             os.kill(handle.pid, signal.SIGKILL)
@@ -363,7 +373,9 @@ class TestShardedFleetServing:
             assert_balanced(ledger)
 
             fleet.restart_shard(0)
-            fleet.offer("dep-ucd", "reader-1", reports[100:200])
+            fleet.offer_columnar(
+                "dep-ucd", "reader-1", columns(reports[100:200])
+            )
             fleet.drain(timeout_s=120.0)  # hung forever pre-fix
             ledger = fleet.accounting("dep-ucd")
             assert ledger["offered"] == 200
@@ -378,7 +390,7 @@ class TestShardedFleetServing:
         """Fire-and-forget ingest failures must not kill the shard.
 
         An unknown deployment id reaching the worker (restart race) and
-        a malformed columnar payload both have to be contained: the
+        a malformed offer payload both have to be contained: the
         worker records an ingest-rejected event and keeps serving every
         other deployment."""
         fleet = ShardedFleet(workers=1, request_timeout_s=120.0)
@@ -390,14 +402,16 @@ class TestShardedFleetServing:
             handle = fleet._workers[0]
             # Bypass parent routing: unknown deployment on the worker.
             fleet._send(
-                handle, ("offer", "no-such-dep", "reader-1", [])
-            )
-            # A columnar offer whose payload is not a batch.
-            fleet._send(
                 handle,
-                ("offer_cols_inline", "dep-robust", "reader-1", object()),
+                ("offer", "no-such-dep", "reader-1", columns([])),
             )
-            fleet.offer("dep-robust", "reader-1", collected.reports[:50])
+            # An offer whose payload is not a batch.
+            fleet._send(
+                handle, ("offer", "dep-robust", "reader-1", object())
+            )
+            fleet.offer_columnar(
+                "dep-robust", "reader-1", columns(collected.reports[:50])
+            )
             fleet.drain(timeout_s=120.0)
             assert handle.alive
             assert fleet.worker_events().get("ingest-rejected", 0) >= 2
@@ -419,7 +433,9 @@ class TestShardedFleetServing:
             )
             # Dispatch a burst and SIGKILL immediately: some (usually
             # all) of it never gets acknowledged.
-            fleet.offer("dep-loss", "reader-1", collected.reports)
+            fleet.offer_columnar(
+                "dep-loss", "reader-1", columns(collected.reports)
+            )
             fleet.kill_worker(0)
             ledger = fleet.accounting("dep-loss")
             assert ledger["offered"] == len(collected.reports)

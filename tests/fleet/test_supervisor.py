@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 from typing import List
 
 import pytest
@@ -26,7 +27,11 @@ from repro.fleet.supervisor import (
     FleetSupervisor,
     SupervisorPolicy,
 )
-from repro.server.resilience import RetryPolicy
+from repro.server.registry import TagRegistry
+from repro.server.resilience import (
+    ResilientLocalizationServer,
+    RetryPolicy,
+)
 
 
 class RecordingSleep:
@@ -354,3 +359,40 @@ class TestFleetShape:
 
         assert asyncio.run(scenario()) == 1
         assert store.saves == 1
+
+
+class TestObjectOffer:
+    def test_u64_timestamps_screen_as_object_ingest(self):
+        """``offer`` columnarizes report objects.  A reader timestamp
+        past int64 (a valid u64 FirstSeenTimestampUTC) must reach the
+        server intact and screen as direct object ingest screens it."""
+        reports = [
+            dataclasses.replace(make_report(i), reader_timestamp_us=us)
+            for i, us in enumerate((5, 2**63 + 17, 20))
+        ]
+        direct = ResilientLocalizationServer(TagRegistry())
+        direct.ingest("r1", reports)
+
+        async def scenario():
+            supervisor = FleetSupervisor(policy=fast_policy())
+            supervisor.add_deployment(
+                "dep-1", lambda: ResilientLocalizationServer(TagRegistry())
+            )
+            await wait_until(lambda: running_actor(supervisor, "dep-1"))
+            assert supervisor.offer("dep-1", "r1", reports) == 3
+            await wait_until(
+                lambda: supervisor.accounting("dep-1")["received"] == 3
+            )
+            server = supervisor.actor("dep-1").server
+            stats = server.quarantine_stats("r1", 1).as_dict()
+            ledger = supervisor.accounting("dep-1")
+            await supervisor.stop()
+            return stats, ledger
+
+        stats, ledger = asyncio.run(scenario())
+        assert stats == direct.quarantine_stats("r1", 1).as_dict()
+        assert (stats["accepted"], stats["reordered"]) == (3, 1)
+        assert ledger["offered"] == ledger["delivered"] == 3
+        assert ledger["received"] == ledger["accepted"] == 3
+        assert ledger["shed"] == ledger["pending"] == 0
+        assert ledger["quarantined"] == ledger["lost_in_crash"] == 0

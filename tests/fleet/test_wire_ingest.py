@@ -52,13 +52,10 @@ def reference_fix(calibrated_scenario_2d, recording):
 
 
 class TestReplayRegression:
-    @pytest.mark.parametrize("decode", ("columnar", "object"))
-    def test_replayed_fix_matches_recorded_truth(
-        self, recording, decode
-    ):
+    def test_replayed_fix_matches_recorded_truth(self, recording):
         result = asyncio.run(
             replay_into_supervisor(
-                recording, speed=1e5, decode=decode, fragment_bytes=1400
+                recording, speed=1e5, fragment_bytes=1400
             )
         )
         assert result.reports_offered > 0
@@ -69,7 +66,8 @@ class TestReplayRegression:
     def test_replay_reproduces_in_process_fix(
         self, recording, reference_fix
     ):
-        """The wire loopback changes nothing: same fix as direct ingest."""
+        """The wire loopback changes nothing: columnar batches offered
+        by the endpoint give the fix of direct object ingest."""
         result = asyncio.run(
             replay_into_supervisor(recording, speed=1e5)
         )
@@ -108,10 +106,6 @@ class TestReplayRegression:
 
 
 class TestEndpointMechanics:
-    def test_rejects_bad_decode_mode(self):
-        with pytest.raises(ConfigurationError):
-            WireIngestEndpoint(None, "d", "r", decode="simd")
-
     def test_rejects_bad_read_size(self):
         with pytest.raises(ConfigurationError):
             WireIngestEndpoint(None, "d", "r", read_bytes=0)

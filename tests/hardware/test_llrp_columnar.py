@@ -158,6 +158,20 @@ class TestColumnarBatchOps:
         cols = ColumnarReportBatch.from_reports(reports)
         assert cols.to_reports() == reports
 
+    @pytest.mark.parametrize(
+        "timestamps", ([5, 2**63 + 17, 20], [-5, 2**63 + 17])
+    )
+    def test_from_reports_keeps_u64_timestamps_exact(self, timestamps):
+        """FirstSeenTimestampUTC is a u64: values past int64 (mixed with
+        the negative ones the screen rejects) must survive exactly."""
+        reports = [
+            _report(i, reader_timestamp_us=us, host_timestamp_us=us)
+            for i, us in enumerate(timestamps)
+        ]
+        cols = ColumnarReportBatch.from_reports(reports)
+        assert cols.to_reports() == reports
+        assert cols.select(np.array([1])).to_reports() == reports[1:2]
+
     def test_select_mask(self):
         reports = [_report(i) for i in range(10)]
         cols = ColumnarReportBatch.from_reports(reports)

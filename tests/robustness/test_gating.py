@@ -19,8 +19,11 @@ POSE = Point3(0.4, 1.9, 0.0)
 
 
 @pytest.fixture(scope="module")
-def collection(calibrated_scenario_2d):
-    batch, reader = calibrated_scenario_2d.collect(POSE)
+def collection(calibrated_scenario_2d, collect_after_prelude_2d):
+    # The stalled disk must keep a channel with >= 12 snapshots, which
+    # the batch right after the prelude does; one drawn further down the
+    # shared RNG stream (after other modules' collects) may not.
+    batch, reader = collect_after_prelude_2d(POSE)
     return calibrated_scenario_2d, batch, reader
 
 

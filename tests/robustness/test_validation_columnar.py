@@ -1,9 +1,11 @@
 """Differential tests: ReportValidator.process_columnar vs process.
 
-The columnar entry point runs the stateless screens vectorized, but it
-must be observationally identical to the object path — same survivors,
-in the same order, with the same quarantine accounting — on clean
-streams and on every fault class the screens exist for.
+The columnar entry point is an adapter: it turns the batch back into
+report objects and runs the one screen.  These tests check the adapter
+— dtype handling of ``from_reports`` and wire columns (int64, uint64,
+timestamps beyond int64) — gives the object path's survivors, in the
+same order, with the same quarantine accounting, on clean streams and
+on every fault class the screens exist for.
 """
 
 from __future__ import annotations

@@ -1,4 +1,11 @@
-"""Differential tests: ResilientLocalizationServer.ingest_columnar."""
+"""Differential tests: ResilientLocalizationServer.ingest_columnar.
+
+``ingest`` and ``ingest_columnar`` share one screen-and-buffer loop and
+differ only in how they split a batch by antenna port; these tests
+check the columnar adapter — the per-port split and its all-or-nothing
+stream-key check — leaves buffers, stats and fixes as object ingest
+does.
+"""
 
 from __future__ import annotations
 

@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.geometry import Point3
 from repro.errors import ConfigurationError, InsufficientDataError
+from repro.hardware.llrp import TagReportData
 from repro.server.service import LocalizationServer
+
+
+def _report(i: int, port: int = 1) -> TagReportData:
+    return TagReportData(
+        epc="E2-CAP-1",
+        antenna_port=port,
+        channel_index=3,
+        reader_timestamp_us=1_000 * i,
+        host_timestamp_us=1_000 * i + 40,
+        phase_rad=0.5,
+        rssi_dbm=-60.0,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +53,33 @@ class TestIngestion:
         server = LocalizationServer(scenario.scene.registry, max_buffer=50)
         server.ingest("r", batch.reports)
         assert server.stream_report_count("r", 1) == 50
+        assert server.batch_for("r", 1).reports == batch.reports[-50:]
+        # Across several calls that each cross the cap, on two ports:
+        # every stream keeps its newest 50 reports, in arrival order.
+        two_ports = [
+            replace(report, antenna_port=1 + i % 2)
+            for i, report in enumerate(batch.reports)
+        ]
+        server = LocalizationServer(scenario.scene.registry, max_buffer=50)
+        for start in range(0, len(two_ports), 37):
+            server.ingest("r", two_ports[start : start + 37])
+        for port in (1, 2):
+            newest = [r for r in two_ports if r.antenna_port == port][-50:]
+            assert server.batch_for("r", port).reports == newest
+
+    def test_buffer_cap_holds_when_a_batch_raises(self, calibrated_scenario_2d):
+        """A negative port mid-batch raises; the reports before it stay
+        buffered, trimmed to the cap like any other call."""
+        server = LocalizationServer(
+            calibrated_scenario_2d.scene.registry, max_buffer=5
+        )
+        reports = [_report(i) for i in range(10)]
+        server.ingest("r", reports[:3])
+        with pytest.raises(ConfigurationError):
+            server.ingest(
+                "r", reports[3:8] + [_report(99, port=-1)] + reports[8:]
+            )
+        assert server.batch_for("r", 1).reports == reports[3:8]
 
     def test_invalid_buffer(self, calibrated_scenario_2d):
         with pytest.raises(ValueError):
